@@ -3,18 +3,27 @@
 // callbacks. Events that share a timestamp fire in the order they were
 // scheduled, which makes every run deterministic.
 //
-// The queue is an index-addressed 4-ary heap over a pool of event records.
-// The wider node fans out the tree to a quarter of the binary depth and keeps
-// each node's children in one or two cache lines, which is measurably faster
-// on deep queues; because the comparator (time, sequence) is a total order,
-// the pop sequence — and therefore every simulation result — is identical to
-// the binary heap's.
-// Records are recycled through a free list and addressed by stable ids, so
-// the steady state of a simulation — schedule, fire, schedule again —
-// allocates nothing. Handles returned by Schedule carry a generation
-// counter: recycling a record bumps its generation, which makes Cancel of a
-// stale handle (already fired or already cancelled) a safe no-op without any
-// queue scan.
+// The queue is a 4-ary heap whose entries carry their (time, sequence) key
+// inline next to the record id, so a sift compares contiguous memory instead
+// of chasing each entry into the record pool. The wider node fans out the
+// tree to a quarter of the binary depth and keeps a node's children in one
+// or two cache lines. Because the comparator (time, sequence) is a total
+// order, the pop sequence — and therefore every simulation result — is the
+// same as any other correct priority queue's.
+//
+// Records hold the callback and are recycled through a free list, addressed
+// by stable ids, so the steady state of a simulation — schedule, fire,
+// schedule again — allocates nothing. Handles returned by Schedule carry a
+// generation counter: recycling a record bumps its generation, which makes
+// Cancel of a stale handle (already fired or already cancelled) a safe no-op
+// without any queue scan.
+//
+// Cancellation is lazy: Cancel recycles the record at once but leaves its
+// heap entry in place, dead. An entry is live exactly when its record still
+// holds the entry's sequence number, so a dead entry is recognised — and
+// dropped — when it reaches the head. Pending counts live events only, and
+// the heap is compacted whenever dead entries outnumber live ones, so a
+// cancel-heavy caller cannot grow it without bound.
 package eventsim
 
 import (
@@ -43,15 +52,30 @@ func (e Event) At() units.Time { return e.at }
 // only distinguishable by that generation check.
 func (e Event) Slot() int { return int(e.id) }
 
-// record is one pooled event. pos is its index in Engine.heap, -1 while the
-// record sits on the free list. gen starts at 1 so the zero Event handle
-// (gen 0) never matches a live record.
+// record is one pooled event. seq is the sequence number of the heap entry
+// that owns the record, or deadSeq while the record sits on the free list; a
+// heap entry whose seq no longer matches its record's is dead. gen starts at
+// 1 so the zero Event handle (gen 0) never matches a live record.
 type record struct {
+	fn  func()
+	seq uint64
+	gen uint32
+}
+
+// deadSeq marks a record no heap entry owns. The sequence counter never
+// reaches it.
+const deadSeq = ^uint64(0)
+
+// entry is one heap slot: the event's ordering key, inline, and its record.
+type entry struct {
 	at  units.Time
 	seq uint64
-	fn  func()
-	gen uint32
-	pos int32
+	id  int32
+}
+
+// before orders entries by (time, sequence).
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
@@ -59,7 +83,8 @@ type record struct {
 type Engine struct {
 	records []record
 	free    []int32 // recycled record ids
-	heap    []int32 // record ids ordered by (at, seq)
+	heap    []entry // ordered by (at, seq); may hold dead entries
+	dead    int     // dead entries in heap
 	now     units.Time
 	seq     uint64
 	fired   uint64
@@ -76,8 +101,9 @@ type Engine struct {
 	nextHook  uint64
 }
 
-// New returns a fresh engine with its clock at zero.
-func New() *Engine { return &Engine{} }
+// New returns a fresh engine with its clock at zero. The heap starts with
+// room for 64 entries, which skips the first growth steps every run takes.
+func New() *Engine { return &Engine{heap: make([]entry, 0, 64)} }
 
 // Now reports the current simulation time.
 func (e *Engine) Now() units.Time { return e.now }
@@ -85,8 +111,8 @@ func (e *Engine) Now() units.Time { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending reports how many events are scheduled and not cancelled.
+func (e *Engine) Pending() int { return len(e.heap) - e.dead }
 
 // Stopped reports whether a Stop is pending, i.e. Stop was called and no Run
 // has consumed it yet.
@@ -99,17 +125,18 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return id
 	}
-	e.records = append(e.records, record{gen: 1, pos: -1})
+	e.records = append(e.records, record{seq: deadSeq, gen: 1})
 	return int32(len(e.records) - 1)
 }
 
 // release recycles a record that has fired or been cancelled. The generation
-// bump invalidates every outstanding handle to it.
+// bump invalidates every outstanding handle to it, and the seq reset kills
+// any heap entry still pointing at it.
 func (e *Engine) release(id int32) {
 	r := &e.records[id]
 	r.gen++
 	r.fn = nil
-	r.pos = -1
+	r.seq = deadSeq
 	e.free = append(e.free, id)
 }
 
@@ -124,11 +151,10 @@ func (e *Engine) Schedule(at units.Time, fn func()) Event {
 	}
 	id := e.alloc()
 	r := &e.records[id]
-	r.at, r.seq, r.fn = at, e.seq, fn
+	r.fn, r.seq = fn, e.seq
+	e.heap = append(e.heap, entry{at: at, seq: e.seq, id: id})
 	e.seq++
-	r.pos = int32(len(e.heap))
-	e.heap = append(e.heap, id)
-	e.siftUp(r.pos)
+	e.siftUp(len(e.heap) - 1)
 	return Event{id: id, gen: r.gen, at: at}
 }
 
@@ -142,17 +168,17 @@ func (e *Engine) After(d units.Time, fn func()) Event {
 
 // Cancel prevents ev from firing. Cancelling the zero Event, an
 // already-fired or an already-cancelled event is a no-op: the handle's
-// generation no longer matches the (recycled) record.
+// generation no longer matches the (recycled) record. The event's heap entry
+// stays behind, dead, until it reaches the head or a compaction drops it.
 func (e *Engine) Cancel(ev Event) {
-	if ev.gen == 0 || int(ev.id) >= len(e.records) {
+	if ev.gen == 0 || int(ev.id) >= len(e.records) || e.records[ev.id].gen != ev.gen {
 		return
 	}
-	r := &e.records[ev.id]
-	if r.gen != ev.gen || r.pos < 0 {
-		return
-	}
-	e.removeAt(r.pos)
 	e.release(ev.id)
+	e.dead++
+	if e.dead > len(e.heap)-e.dead {
+		e.compact()
+	}
 }
 
 // Stop makes Run return after the currently executing event completes. When
@@ -181,31 +207,34 @@ func (e *Engine) ClearHook() { e.hookFn = nil }
 
 // Step executes the next pending event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if !e.live() {
 		return false
 	}
-	id := e.heap[0]
-	e.removeAt(0)
-	r := &e.records[id]
-	fn := r.fn
-	e.now = r.at
+	e.fire()
+	return true
+}
+
+// fire pops the live head, advances the clock to it and runs it.
+func (e *Engine) fire() {
+	top := e.heap[0]
+	e.popHead()
+	fn := e.records[top.id].fn
+	e.now = top.at
 	e.fired++
 	// Release before running so a Cancel of this event from inside its
 	// own callback is already a stale-generation no-op.
-	e.release(id)
+	e.release(top.id)
 	fn()
-	return true
 }
 
 // Peek returns a handle to the next event that would fire — the head of the
 // queue — without running or removing it, and reports whether one exists.
 func (e *Engine) Peek() (Event, bool) {
-	if len(e.heap) == 0 {
+	if !e.live() {
 		return Event{}, false
 	}
-	id := e.heap[0]
-	r := &e.records[id]
-	return Event{id: id, gen: r.gen, at: r.at}, true
+	top := &e.heap[0]
+	return Event{id: top.id, gen: e.records[top.id].gen, at: top.at}, true
 }
 
 // Absorb removes ev from the queue and credits it to the fired counter
@@ -217,17 +246,16 @@ func (e *Engine) Peek() (Event, bool) {
 // This is how netsim drains a burst of same-timestamp deliveries in one
 // callback instead of N heap pops.
 func (e *Engine) Absorb(ev Event) bool {
-	if ev.gen == 0 || len(e.heap) == 0 {
+	if ev.gen == 0 || !e.live() {
 		return false
 	}
-	id := e.heap[0]
-	r := &e.records[id]
-	if id != ev.id || r.gen != ev.gen || r.at != e.now {
+	top := e.heap[0]
+	if top.id != ev.id || e.records[top.id].gen != ev.gen || top.at != e.now {
 		return false
 	}
-	e.removeAt(0)
+	e.popHead()
 	e.fired++
-	e.release(id)
+	e.release(top.id)
 	return true
 }
 
@@ -238,12 +266,12 @@ func (e *Engine) Absorb(ev Event) bool {
 // observably resumes on the next Run.
 func (e *Engine) Run(until units.Time) units.Time {
 	defer func() { e.stopped = false }()
-	for !e.stopped && len(e.heap) > 0 {
-		// Peek: do not advance past the horizon.
-		if e.records[e.heap[0]].at > until {
+	for !e.stopped && e.live() {
+		// Do not advance past the horizon.
+		if e.heap[0].at > until {
 			break
 		}
-		e.Step()
+		e.fire()
 		if e.hookFn != nil && e.fired >= e.nextHook {
 			e.nextHook = e.fired + e.hookEvery
 			if !e.hookFn() {
@@ -257,88 +285,87 @@ func (e *Engine) Run(until units.Time) units.Time {
 // RunAll executes events until the queue is empty or Stop is called.
 func (e *Engine) RunAll() units.Time { return e.Run(units.Never) }
 
-// less orders record ids by (time, sequence).
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.records[a], &e.records[b]
-	if ra.at != rb.at {
-		return ra.at < rb.at
+// isLive reports whether heap entry x still owns its record.
+func (e *Engine) isLive(x *entry) bool { return e.records[x.id].seq == x.seq }
+
+// live drops dead entries off the head of the heap and reports whether a
+// live event remains; when it does, it is e.heap[0].
+func (e *Engine) live() bool {
+	for len(e.heap) > 0 {
+		if e.isLive(&e.heap[0]) {
+			return true
+		}
+		e.popHead()
+		e.dead--
 	}
-	return ra.seq < rb.seq
+	return false
+}
+
+// compact drops every dead entry and re-heapifies the survivors. Heap order
+// depends on the (at, seq) keys alone, so the pop sequence is unchanged.
+func (e *Engine) compact() {
+	h := e.heap[:0]
+	for i := range e.heap {
+		if e.isLive(&e.heap[i]) {
+			h = append(h, e.heap[i])
+		}
+	}
+	e.heap, e.dead = h, 0
+	for i := (len(h) - 2) / 4; len(h) > 1 && i >= 0; i-- {
+		e.siftDown(i, h[i])
+	}
 }
 
 // Heap layout: 4-ary, node i has parent (i-1)/4 and children 4i+1..4i+4.
 
-// siftUp restores heap order from position i toward the root. The moving
-// element's key is loaded once; each level costs a single record fetch.
-func (e *Engine) siftUp(i int32) {
-	h, recs := e.heap, e.records
-	id := h[i]
-	at, seq := recs[id].at, recs[id].seq
+// siftUp restores heap order from position i toward the root, moving the
+// entry there up past every later-keyed ancestor.
+func (e *Engine) siftUp(i int) {
+	h := e.heap
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := &recs[h[parent]]
-		if at > p.at || (at == p.at && seq > p.seq) {
+		if !x.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		p.pos = i
 		i = parent
 	}
-	h[i] = id
-	recs[id].pos = i
+	h[i] = x
 }
 
-// siftDown restores heap order from position i toward the leaves and reports
-// whether the element moved. The winning child's key is kept in registers
-// across the up-to-4-way scan so each child costs one record fetch.
-func (e *Engine) siftDown(i int32) bool {
-	h, recs := e.heap, e.records
-	n := int32(len(h))
-	id := h[i]
-	at, seq := recs[id].at, recs[id].seq
-	start := i
+// siftDown places x in the hole at position i and sinks it toward the
+// leaves past every earlier-keyed child.
+func (e *Engine) siftDown(i int, x entry) {
+	h := e.heap
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
 		// Smallest of the up-to-4 children.
-		m := &recs[h[c]]
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			r := &recs[h[k]]
-			if r.at < m.at || (r.at == m.at && r.seq < m.seq) {
-				c, m = k, r
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if h[k].before(&h[m]) {
+				m = k
 			}
 		}
-		if at < m.at || (at == m.at && seq < m.seq) {
+		if x.before(&h[m]) {
 			break
 		}
-		h[i] = h[c]
-		m.pos = i
-		i = c
+		h[i] = h[m]
+		i = m
 	}
-	h[i] = id
-	recs[id].pos = i
-	return i != start
+	h[i] = x
 }
 
-// removeAt deletes the element at heap position i, preserving heap order.
-func (e *Engine) removeAt(i int32) {
-	h := e.heap
-	n := int32(len(h)) - 1
-	e.records[h[i]].pos = -1
-	if i == n {
-		e.heap = h[:n]
-		return
-	}
-	h[i] = h[n]
-	e.records[h[i]].pos = i
-	e.heap = h[:n]
-	if !e.siftDown(i) {
-		e.siftUp(i)
+// popHead removes the root entry, live or dead, preserving heap order.
+func (e *Engine) popHead() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(0, last)
 	}
 }

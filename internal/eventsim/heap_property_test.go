@@ -10,9 +10,10 @@ import (
 
 // This file property-tests the 4-ary heap against a reference model: a plain
 // list of pending (time, insertion-sequence) pairs whose expected fire order
-// is a stable sort by time. Any heap bug — wrong parent/child arithmetic,
-// broken removeAt hole-filling, pos corruption — shows up as a divergence
-// between the engine's fire order and the model's.
+// is a stable sort by time. Any heap bug — wrong parent/child arithmetic, a
+// lost sift, a cancelled entry that fires or hides a live one — shows up as a
+// divergence between the engine's fire order, Pending count or Peek head and
+// the model's.
 
 // refEvent is one scheduled event in the reference model.
 type refEvent struct {
@@ -22,7 +23,9 @@ type refEvent struct {
 
 // runModelComparison drives an engine and a reference model through a random
 // interleaving of Schedule, After, Cancel (live and stale handles) and Step,
-// then drains both and compares the complete fire order.
+// then drains both and compares the complete fire order. Along the way
+// Pending must count exactly the model's live events, and Peek must return
+// the model's earliest one — never a cancelled entry left in the heap.
 func runModelComparison(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -46,6 +49,19 @@ func runModelComparison(t *testing.T, seed int64) {
 		pending = append(pending, live{ev: ev, ref: re})
 	}
 
+	// earliest is the index in pending of the next event to fire.
+	earliest := func() int {
+		min := 0
+		for i := 1; i < len(pending); i++ {
+			if pending[i].ref.at < pending[min].ref.at ||
+				(pending[i].ref.at == pending[min].ref.at &&
+					pending[i].ref.seq < pending[min].ref.seq) {
+				min = i
+			}
+		}
+		return min
+	}
+
 	const ops = 400
 	for op := 0; op < ops; op++ {
 		switch k := rng.Intn(10); {
@@ -57,9 +73,8 @@ func runModelComparison(t *testing.T, seed int64) {
 			seq++
 			ev := e.After(at-e.Now(), func() { fired = append(fired, re) })
 			pending = append(pending, live{ev: ev, ref: re})
-		case k < 8: // Cancel a random live handle: removeAt at a random
-			// heap position — over many ops this hits leaf, root and
-			// interior nodes.
+		case k < 8: // Cancel a random live handle: over many ops its dead
+			// entry sits at leaf, root and interior heap positions.
 			if len(pending) > 0 {
 				i := rng.Intn(len(pending))
 				e.Cancel(pending[i].ev)
@@ -75,17 +90,26 @@ func runModelComparison(t *testing.T, seed int64) {
 				// The fired event leaves pending; find it by the
 				// engine-reported order later. Remove the model's
 				// minimum (at, seq) — that is what must have fired.
-				min := 0
-				for i := 1; i < len(pending); i++ {
-					if pending[i].ref.at < pending[min].ref.at ||
-						(pending[i].ref.at == pending[min].ref.at &&
-							pending[i].ref.seq < pending[min].ref.seq) {
-						min = i
-					}
-				}
+				min := earliest()
 				model = append(model, pending[min].ref)
 				stale = append(stale, pending[min].ev)
 				pending = append(pending[:min], pending[min+1:]...)
+			}
+		}
+		if e.Pending() != len(pending) {
+			t.Fatalf("seed %d op %d: Pending = %d, model has %d live events",
+				seed, op, e.Pending(), len(pending))
+		}
+		// Peek drops dead heads as a side effect; do it on a third of
+		// the ops so Step and Run also meet dead heads themselves.
+		if op%3 == 0 {
+			top, ok := e.Peek()
+			if ok != (len(pending) > 0) {
+				t.Fatalf("seed %d op %d: Peek ok = %v with %d live events", seed, op, ok, len(pending))
+			}
+			if ok && top != pending[earliest()].ev {
+				t.Fatalf("seed %d op %d: Peek = %+v, model head %+v",
+					seed, op, top, pending[earliest()].ev)
 			}
 		}
 	}
@@ -126,9 +150,9 @@ func TestHeapAgainstReferenceModel(t *testing.T) {
 
 // TestCancelAtEveryHeapPosition schedules n events and cancels exactly one at
 // each possible heap position (root, every interior node, every leaf),
-// checking the survivors still fire in order. This pins removeAt's
-// hole-filling for both the siftDown and siftUp repair paths of the 4-ary
-// layout.
+// checking the survivors still fire in order. This pins that a dead entry
+// anywhere in the 4-ary layout is skipped when it surfaces, and never
+// displaces a live one.
 func TestCancelAtEveryHeapPosition(t *testing.T) {
 	const n = 85 // > 4 full levels of a 4-ary heap (1+4+16+64)
 	for victim := 0; victim < n; victim++ {
@@ -303,5 +327,102 @@ func TestSlotRecycling(t *testing.T) {
 	top, ok := e.Peek()
 	if !ok || top != b || top == a {
 		t.Fatalf("Peek = %+v; must match the live handle only", top)
+	}
+}
+
+// A cancelled head must be invisible: Peek and Absorb see the live event
+// behind it, and a cancelled handle never absorbs.
+func TestPeekAbsorbSkipCancelledHead(t *testing.T) {
+	e := New()
+	dead := e.Schedule(0, func() { t.Error("cancelled event ran") })
+	live := e.Schedule(0, func() { t.Error("absorbed event ran") })
+	later := e.Schedule(5, func() {})
+	e.Cancel(dead)
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d after one cancel of three, want 2", e.Pending())
+	}
+	if top, ok := e.Peek(); !ok || top != live {
+		t.Fatalf("Peek = %+v, %v; want the live head behind the cancelled one", top, ok)
+	}
+	if e.Absorb(dead) {
+		t.Fatal("Absorb of a cancelled handle succeeded")
+	}
+	if !e.Absorb(live) {
+		t.Fatal("Absorb of the live head behind a cancelled one failed")
+	}
+	e.Cancel(later)
+	if _, ok := e.Peek(); ok || e.Pending() != 0 {
+		t.Fatalf("Peek ok = %v, Pending = %d with every event fired or cancelled", ok, e.Pending())
+	}
+	if e.Step() {
+		t.Fatal("Step ran a cancelled event")
+	}
+	if e.Fired() != 1 {
+		t.Fatalf("Fired = %d, want 1 (the absorbed event)", e.Fired())
+	}
+}
+
+// Run must not let a cancelled head at or before the horizon pull a live
+// event from beyond it.
+func TestRunHorizonIgnoresCancelledHead(t *testing.T) {
+	e := New()
+	e.Cancel(e.Schedule(5, func() { t.Error("cancelled event ran") }))
+	ran := false
+	e.Schedule(20, func() { ran = true })
+	if got := e.Run(10); got != 0 || ran {
+		t.Fatalf("Run(10) = %v, ran = %v; the only live event is at 20", got, ran)
+	}
+	e.Run(20)
+	if !ran {
+		t.Fatal("live event did not run")
+	}
+}
+
+// TestScheduleKickPatternStaysBounded replays netsim's retry-timer pattern:
+// many ports each keep one wake pending, and re-arming a port cancels its
+// later wake and schedules an earlier one. Every cancel leaves a dead entry
+// behind, so without compaction the heap would grow by one per re-arm; with
+// it, dead entries never outnumber live ones after a cancel.
+func TestScheduleKickPatternStaysBounded(t *testing.T) {
+	const ports = 64
+	e := New()
+	rng := rand.New(rand.NewSource(1))
+	wake := make([]Event, ports)
+	fired := make([]int, ports)
+	for p := range wake {
+		p := p
+		wake[p] = e.Schedule(units.Time(1000+rng.Intn(1000)), func() { fired[p]++ })
+	}
+	maxHeap := 0
+	for i := 0; i < 100000; i++ {
+		p := rng.Intn(ports)
+		if at := e.Now() + units.Time(1+rng.Intn(100)); at < wake[p].At() {
+			e.Cancel(wake[p])
+			if dead := len(e.heap) - e.Pending(); dead > e.Pending() {
+				t.Fatalf("re-arm %d: %d dead entries for %d live after a cancel", i, dead, e.Pending())
+			}
+			wake[p] = e.Schedule(at, func() { fired[p]++ })
+		}
+		if i%8 == 0 {
+			// The fired port re-arms far out, as an idle kick would.
+			if e.Step() {
+				for q := range wake {
+					if wake[q].At() <= e.Now() && fired[q] > 0 {
+						fired[q] = 0
+						q := q
+						wake[q] = e.Schedule(e.Now()+units.Time(1000+rng.Intn(1000)), func() { fired[q]++ })
+					}
+				}
+			}
+		}
+		if len(e.heap) > maxHeap {
+			maxHeap = len(e.heap)
+		}
+	}
+	if e.Pending() != ports {
+		t.Fatalf("Pending = %d, want one wake per port (%d)", e.Pending(), ports)
+	}
+	if maxHeap > 2*ports+1 {
+		t.Fatalf("heap grew to %d entries for %d live wakes", maxHeap, ports)
 	}
 }

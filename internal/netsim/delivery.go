@@ -147,9 +147,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		q := &n.inq[ch]
-		q.push(pkt)
-		if q.len() == 1 {
+		if n.pushIngress(ing, prio, pkt) {
 			n.kick(out)
 		}
 		return
@@ -159,7 +157,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		if n.cfg.ECNThreshold > 0 && occ >= n.cfg.ECNThreshold {
 			pkt.ECN = true
 		}
-		n.inq[ch].push(pkt)
+		n.pushIngress(ing, prio, pkt)
 		n.forward(nd, prio)
 		return
 	}

@@ -83,7 +83,7 @@ func TestTraceDeterminism(t *testing.T) {
 
 // TestTraceDeterminismUnderParallelRunner re-runs the same scenario on a
 // multi-worker pool: concurrent share-nothing simulations (and their
-// sync.Pool packet recycling) must still each reproduce the serial trace.
+// per-network packet free lists) must still each reproduce the serial trace.
 func TestTraceDeterminismUnderParallelRunner(t *testing.T) {
 	want := traceHash(t, 200*units.KB)
 	const copies = 8

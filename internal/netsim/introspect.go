@@ -220,7 +220,7 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	if q.empty() {
 		return false
 	}
-	pkt := q.pop()
+	pkt := n.popIngress(ing, prio)
 	n.occupancy[ch] -= pkt.Size
 	n.progress[ch].departed += pkt.Size
 	n.drops++

@@ -58,6 +58,15 @@ type Network struct {
 	receivers   []flowcontrol.Receiver
 	rrVoq       []int32    // round-robin cursor over VOQs / input ports
 	inq         []pktQueue // ingress FIFOs (SchedInputQueued/SchedBlocking)
+	// arb is the SchedInputQueued arbitration index: per (switch egress,
+	// priority) a bitset of the input ports whose ingress-FIFO head is
+	// bound for that egress, kept by pushIngress/popIngress. Egress p's
+	// set for prio is the owner's arbWords words at p.arb+prio*arbWords.
+	// nil under every other discipline.
+	arb []uint64
+	// arbCheck, when set (by tests only), is told the input every
+	// nextFromInputs call picked from the bitset, to cross-check it.
+	arbCheck func(p *port, prio, in int)
 	// voqs and fedBytes have port-dependent strides; see port.voqBase and
 	// port.fedBase.
 	voqs     []voq
@@ -116,10 +125,13 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	// Pass 1: size the dense arrays. The channel index layout must match
 	// metrics.Registry.Bind exactly: channels in (node, port, priority)
 	// order.
-	totalPorts, totalVoqs, totalFed := 0, 0, 0
+	totalPorts, totalVoqs, totalFed, totalArb := 0, 0, 0, 0
 	for id := 0; id < nn; id++ {
 		ats := topo.Ports(topology.NodeID(id))
 		totalPorts += len(ats)
+		if inputArb(cfg, topo.Node(topology.NodeID(id)).Kind) {
+			totalArb += len(ats) * k * arbWords(len(ats))
+		}
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
 			slots = len(ats)
@@ -142,6 +154,9 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 	n.inq = make([]pktQueue, chans)
 	n.voqs = make([]voq, totalVoqs)
 	n.fedBytes = make([]units.Size, totalFed)
+	if totalArb > 0 {
+		n.arb = make([]uint64, totalArb)
+	}
 	n.fwdCursor = make([]int32, nn*k)
 	n.fwdBlocked = make([]*port, nn*k)
 	n.forwarding = make([]bool, nn*k)
@@ -155,11 +170,14 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 
 	// Pass 2: build nodes and ports, assigning each port its bases.
 	n.nodes = make([]*node, nn)
-	pb, cb, vb, fb := 0, 0, 0, 0
+	pb, cb, vb, fb, ab := 0, 0, 0, 0, 0
 	for id := range n.nodes {
 		tn := topo.Node(topology.NodeID(id))
 		nd := &node{id: tn.ID, kind: tn.Kind, nb: id * k, refillAt: units.Never}
 		ats := topo.Ports(tn.ID)
+		if inputArb(cfg, tn.Kind) {
+			nd.arbWords = arbWords(len(ats))
+		}
 		nd.ports = make([]*port, len(ats))
 		slots := 1
 		if cfg.Scheduling == SchedVOQ {
@@ -178,11 +196,13 @@ func New(topo *topology.Topology, cfg Config) (*Network, error) {
 				kickAt:   units.Never,
 				sched:    cfg.Scheduling,
 				cb:       cb, voqBase: vb, slots: slots, fedBase: fb,
+				arb:    ab,
 				buffer: cfg.BufferSize,
 			}
 			cb += k
 			vb += k * slots
 			fb += k * len(ats)
+			ab += k * nd.arbWords
 			if tn.Kind == topology.Host {
 				p.buffer = hostBuffer
 			}

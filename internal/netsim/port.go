@@ -56,6 +56,9 @@ type port struct {
 	// fedBase addresses Network.fedBytes: the per-input backlog of
 	// (prio, arrival key) is fedBytes[fedBase + prio*len(owner.ports) + key].
 	fedBase int
+	// arb addresses Network.arb: the set of inputs whose ingress head is
+	// bound for this egress at prio starts at arb[arb + prio*arbWords].
+	arb int
 
 	// Egress scalars.
 	queuedPkts int
@@ -234,6 +237,10 @@ type node struct {
 	// (Network.fwdCursor/fwdBlocked/forwarding): nb+prio addresses this
 	// node's entry.
 	nb int
+	// arbWords is the length of each of the node's per-(egress, priority)
+	// input bitsets in Network.arb: one bit per port. Zero when the node
+	// has none (hosts, and every node outside SchedInputQueued).
+	arbWords int
 
 	// Host state.
 	flows    []*Flow

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/bits"
+
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -10,12 +12,19 @@ import (
 // SchedBlocking forwarding core (forward), and the host NIC refill path
 // (refill, nextFlow).
 //
+// Under SchedInputQueued an egress arbitrates among the switch's ingress
+// FIFOs whose head packet is bound for it. Network.arb keeps that set per
+// (egress, priority) as a bitset over input ports, updated wherever a FIFO
+// head changes (pushIngress, popIngress), so nextFromInputs finds the next
+// eligible input round-robin from rrVoq with a few word operations instead
+// of a scan over every input — and finds the same input the scan would.
+//
 // Both retry timers — kick and refill — use the pre-bound callbacks wired
 // at construction. Scheduling an earlier wake cancels the pending later
-// event instead of piling up guarded no-op events: with generation-counted
-// cancellation in eventsim this is O(log n) and allocation-free. Dropping a
-// superseded timer never loses a wake-up, because every blocked kick or
-// refill re-derives and re-schedules its own next wake.
+// event instead of piling up guarded no-op events: eventsim cancels in O(1)
+// by marking the event dead, and allocates nothing. Dropping a superseded
+// timer never loses a wake-up, because every blocked kick or refill
+// re-derives and re-schedules its own next wake.
 
 // refill keeps the host NIC queue at the configured depth, drawing packets
 // from active flows round-robin and honouring per-flow pacers.
@@ -126,7 +135,7 @@ func (n *Network) kick(p *port) {
 				}
 				continue
 			}
-			n.inq[in.cb+prio].pop()
+			n.popIngress(in, prio)
 			n.rrVoq[p.cb+prio] = int32((in.local + 1) % len(p.owner.ports))
 			pkt, freed = head, in
 		} else if n.fq > 0 {
@@ -231,7 +240,7 @@ func (n *Network) forward(nd *node, prio int) {
 			n.fwdBlocked[fi] = out // stall switch-wide
 			return
 		}
-		n.inq[in.cb+prio].pop()
+		n.popIngress(in, prio)
 		n.fwdCursor[fi] = int32((in.local + 1) % len(nd.ports))
 		n.enqueue(out, head)
 		n.kick(out)
@@ -314,30 +323,107 @@ func (n *Network) nextQueued(p *port, prio int) (*Packet, int, units.Time) {
 	return nil, -1, minWake
 }
 
-// nextFromInputs scans the owner's ingress FIFOs round-robin for a head
-// packet bound for egress p at the given priority that flow control permits.
-// It returns the packet and its input port, or (nil, nil, wake) where wake
-// is the earliest retry time (units.Never to wait for feedback).
+// nextFromInputs picks, round-robin from the egress cursor, the first of the
+// owner's ingress FIFOs whose head packet is bound for egress p at the given
+// priority, and asks flow control whether it may go. It returns the packet
+// and its input port, or (nil, nil, wake) where wake is the earliest retry
+// time (units.Never to wait for feedback). Only a FIFO's head is eligible
+// (head-of-line blocking), and flow control gates the whole egress for the
+// priority, so no other input could do better than the first.
 func (n *Network) nextFromInputs(p *port, prio int) (*Packet, *port, units.Time) {
-	ports := p.owner.ports
-	minWake := units.Never
-	for j := 0; j < len(ports); j++ {
-		in := ports[(int(n.rrVoq[p.cb+prio])+j)%len(ports)]
-		q := &n.inq[in.cb+prio]
-		if q.empty() {
-			continue
-		}
-		head := q.front()
-		if head.Path[head.hop].Port != p.local {
-			continue // head-of-line: only the head is eligible
-		}
-		ok, wake := n.senders[p.cb+prio].TrySend(head.Size)
-		if !ok {
-			// Flow control gates the whole egress for this
-			// priority; no other input can do better.
-			return nil, nil, wake
-		}
-		return head, in, 0
+	j := n.firstInput(p, prio, int(n.rrVoq[p.cb+prio]))
+	if n.arbCheck != nil {
+		n.arbCheck(p, prio, j)
 	}
-	return nil, nil, minWake
+	if j < 0 {
+		return nil, nil, units.Never
+	}
+	in := p.owner.ports[j]
+	head := n.inq[in.cb+prio].front()
+	if ok, wake := n.senders[p.cb+prio].TrySend(head.Size); !ok {
+		return nil, nil, wake
+	}
+	return head, in, 0
+}
+
+// inputArb reports whether nodes of the given kind arbitrate their egresses
+// through the Network.arb bitsets under cfg.
+func inputArb(cfg Config, kind topology.Kind) bool {
+	return cfg.Scheduling == SchedInputQueued && kind == topology.Switch
+}
+
+// arbWords is the number of 64-bit words in a bitset over ports inputs.
+func arbWords(ports int) int { return (ports + 63) / 64 }
+
+// arbSet returns egress out's input bitset for prio.
+func (n *Network) arbSet(out *port, prio int) []uint64 {
+	w := out.owner.arbWords
+	return n.arb[out.arb+prio*w : out.arb+(prio+1)*w]
+}
+
+// markHead records (on) or erases the fact that head, the head packet of
+// input in's prio ingress FIFO, makes in eligible at head's egress.
+func (n *Network) markHead(in *port, prio int, head *Packet, on bool) {
+	set := n.arbSet(in.owner.ports[head.Path[head.hop].Port], prio)
+	word, bit := &set[in.local>>6], uint64(1)<<(in.local&63)
+	if on {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
+}
+
+// pushIngress appends pkt to input in's prio ingress FIFO and reports
+// whether it became the FIFO's head.
+func (n *Network) pushIngress(in *port, prio int, pkt *Packet) bool {
+	q := &n.inq[in.cb+prio]
+	q.push(pkt)
+	if q.len() != 1 {
+		return false
+	}
+	if n.arb != nil {
+		n.markHead(in, prio, pkt, true)
+	}
+	return true
+}
+
+// popIngress removes and returns the head of input in's prio ingress FIFO,
+// moving in's arbitration bit to the new head's egress.
+func (n *Network) popIngress(in *port, prio int) *Packet {
+	q := &n.inq[in.cb+prio]
+	pkt := q.pop()
+	if n.arb != nil {
+		n.markHead(in, prio, pkt, false)
+		if !q.empty() {
+			n.markHead(in, prio, q.front(), true)
+		}
+	}
+	return pkt
+}
+
+// firstInput returns the first input port at or after from, wrapping round,
+// in egress out's prio bitset, or -1 when the set is empty. Bits are visited
+// in exactly the order of a scan over ports from, from+1, ..., from-1.
+func (n *Network) firstInput(out *port, prio, from int) int {
+	set := n.arbSet(out, prio)
+	w := len(set)
+	start := from >> 6
+	below := uint64(1)<<(from&63) - 1
+	for k := 0; k <= w; k++ {
+		i := start + k
+		if i >= w {
+			i -= w
+		}
+		x := set[i]
+		switch k {
+		case 0:
+			x &^= below // the start word from `from` upward
+		case w:
+			x &= below // back at the start word: the bits before `from`
+		}
+		if x != 0 {
+			return i<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }

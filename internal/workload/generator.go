@@ -55,6 +55,9 @@ type Generator struct {
 	Think units.Time
 
 	nextID int
+	// hosts is the topology's host list, cached on first use: a fabric's
+	// node set never changes, and every flow launch draws from it.
+	hosts []topology.NodeID
 	// Completed accumulates finished flows for analysis.
 	Completed []*netsim.Flow
 }
@@ -107,8 +110,7 @@ func (g *Generator) Start() error {
 	if k < 1 {
 		k = 1
 	}
-	hosts := g.Net.Topology().Hosts()
-	for _, h := range hosts {
+	for _, h := range g.hostList() {
 		for i := 0; i < k; i++ {
 			if err := g.launch(h, 0); err != nil {
 				return err
@@ -151,19 +153,28 @@ func (g *Generator) launch(src topology.NodeID, at units.Time) error {
 	return g.Net.AddFlow(f, at)
 }
 
+// hostList returns the simulated topology's hosts, computing them once.
+func (g *Generator) hostList() []topology.NodeID {
+	if g.hosts == nil {
+		g.hosts = g.Net.Topology().Hosts()
+	}
+	return g.hosts
+}
+
 // pickDst chooses a uniformly random reachable host in a different rack.
 func (g *Generator) pickDst(src topology.NodeID) (topology.NodeID, bool) {
-	hosts := g.Net.Topology().Hosts()
+	hosts := g.hostList()
+	srcRack := g.Racks(src)
 	// Rejection-sample a bounded number of times, then scan.
 	for try := 0; try < 16; try++ {
 		d := hosts[g.Rng.Intn(len(hosts))]
-		if d != src && g.Racks(d) != g.Racks(src) && g.Table.Reachable(src, d) {
+		if d != src && g.Racks(d) != srcRack && g.Table.Reachable(src, d) {
 			return d, true
 		}
 	}
 	var candidates []topology.NodeID
 	for _, d := range hosts {
-		if d != src && g.Racks(d) != g.Racks(src) && g.Table.Reachable(src, d) {
+		if d != src && g.Racks(d) != srcRack && g.Table.Reachable(src, d) {
 			candidates = append(candidates, d)
 		}
 	}

@@ -286,3 +286,24 @@ func TestCDFMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// pickDst runs on every flow launch, so once the host list is cached a draw
+// that rejection sampling settles must not allocate. On a k=4 fat-tree three
+// in four hosts lie in another rack, so sixteen straight rejections — the
+// allocating fallback scan — have odds of 4^-16 per draw.
+func TestPickDstAllocatesNothing(t *testing.T) {
+	net, tab, topo := validationFixture(t)
+	g := NewGenerator(net, tab, Enterprise(), EdgeRacks(topo), 3)
+	hosts := topo.Hosts()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		src := hosts[i%len(hosts)]
+		i++
+		if dst, ok := g.pickDst(src); !ok || dst == src {
+			t.Fatalf("pickDst(%d) = %d, %v", src, dst, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pickDst allocates %v times per draw, want 0", allocs)
+	}
+}
