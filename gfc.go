@@ -375,7 +375,7 @@ type (
 	ScenarioOverrides = scenario.Overrides
 	// ScenarioSim is a built, ready-to-run scenario.
 	ScenarioSim = scenario.Sim
-	// ScenarioResult summarises one ScenarioSim.Run.
+	// ScenarioResult summarises one ScenarioSim.RunBounded.
 	ScenarioResult = scenario.Result
 	// FC names a flow-control scheme in a Scenario.
 	FC = scenario.FC

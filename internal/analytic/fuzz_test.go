@@ -1,9 +1,11 @@
 package analytic_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -88,7 +90,10 @@ func FuzzAnalyticBounds(f *testing.F) {
 			// derivation rejects the buffer); that is not a bounds bug.
 			t.Skipf("build: %v", err)
 		}
-		res := sim.Run()
+		res, err := sim.RunBounded(context.Background(), netsim.Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Analytic == nil {
 			t.Fatal("Run.Analytic set but no verdict attached")
 		}

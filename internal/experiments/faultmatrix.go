@@ -86,8 +86,8 @@ type FaultMatrixConfig struct {
 	// with Refresh 0 so it matches the golden fig9 traces. Default τ
 	// (90 µs), bounding feedback staleness at roughly one reaction budget.
 	Refresh units.Time
-	// Ctx and Budget govern each cell's run (see RingConfig); left zero,
-	// cells run ungoverned as they always have.
+	// Ctx and Budget govern each cell's run (see RingConfig): a nil Ctx
+	// means context.Background() and a zero Budget imposes no bounds.
 	Ctx    context.Context
 	Budget netsim.Budget
 	// Retry is the transient-failure retry policy applied per cell under

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/gfcsim/gfc/internal/metrics"
@@ -101,12 +102,20 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, units.Rate, error) {
 		cfg.Duration = 100 * units.Millisecond
 	}
 	tp := stats.NewBinCounter(100 * units.Microsecond)
+	// The measurement window is the final quarter: windowed counts each
+	// flow's deliveries after windowStart as they land (the hook runs in
+	// the same call that bumps Flow.Delivered).
+	windowStart := cfg.Duration * 3 / 4
+	windowed := make(map[*netsim.Flow]units.Size)
 	sim, err := scenario.Build(caseStudySpec(cfg), &scenario.Overrides{
 		Metrics: cfg.Metrics,
 		Trace: func(*topology.Topology) *netsim.Trace {
 			return &netsim.Trace{
-				OnDeliver: func(t units.Time, _ *netsim.Flow, pkt *netsim.Packet) {
+				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
 					tp.Add(t, pkt.Size)
+					if t > windowStart {
+						windowed[f] += pkt.Size
+					}
 				},
 			}
 		},
@@ -114,58 +123,36 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, units.Rate, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	net := sim.Net
 	flows := sim.Flows
 	var victim *netsim.Flow
 	if cfg.WithVictim {
 		victim = flows[len(flows)-1]
 		flows = flows[:len(flows)-1]
 	}
-
-	// Run to the measurement window, snapshot, then finish. A heartbeat
-	// keeps the clock advancing through deadlocked (event-free) phases.
-	windowStart := cfg.Duration * 3 / 4
-	hb := windowStart / 2
-	for net.Now() < windowStart {
-		at := net.Now() + hb
-		if at > windowStart {
-			at = windowStart
-		}
-		net.Engine().Schedule(at, func() {})
-		net.Run(at)
+	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
+	if err != nil {
+		return nil, 0, err
 	}
-	base := make([]units.Size, len(flows))
-	for i, f := range flows {
-		base[i] = f.Delivered
-	}
-	var victimBase units.Size
-	if victim != nil {
-		victimBase = victim.Delivered
-	}
-	net.Engine().Schedule(cfg.Duration, func() {})
-	net.Run(cfg.Duration)
 	window := cfg.Duration - windowStart
 
 	res := &CaseStudyResult{
 		FC:         cfg.FC,
 		Throughput: tp,
-		Drops:      net.Drops(),
+		Drops:      run.Drops,
+		Deadlocked: run.Deadlocked,
+		DeadlockAt: run.DeadlockAt,
 	}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
-	}
-	for i, f := range flows {
-		res.FlowRates = append(res.FlowRates, units.RateOf(f.Delivered-base[i], window))
+	for _, f := range flows {
+		res.FlowRates = append(res.FlowRates, units.RateOf(windowed[f], window))
 	}
 	var victimRate units.Rate
 	if victim != nil {
-		victimRate = units.RateOf(victim.Delivered-victimBase, window)
+		victimRate = units.RateOf(windowed[victim], window)
 		res.VictimRate = victimRate
 		res.VictimTotal = victim.Delivered
-		res.VictimProgressed = victim.Delivered > victimBase
+		res.VictimProgressed = windowed[victim] > 0
 	}
-	if err := sim.CheckAnalytic(); err != nil {
+	if err := run.Analytic.Err; err != nil {
 		return res, victimRate, fmt.Errorf("fig12 %v: %w", cfg.FC, err)
 	}
 	return res, victimRate, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/gfcsim/gfc/internal/netsim"
@@ -77,13 +78,14 @@ func RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	net.Run(cfg.Duration)
+	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
+	if err != nil {
+		return nil, err
+	}
 
-	res := &EvolutionResult{FC: cfg.FC, Throughput: tp, Drops: net.Drops()}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
+	res := &EvolutionResult{
+		FC: cfg.FC, Throughput: tp, Drops: run.Drops,
+		Deadlocked: run.Deadlocked, DeadlockAt: run.DeadlockAt,
 	}
 	// Final-quarter aggregate rate.
 	bins := tp.Bins()
@@ -93,7 +95,7 @@ func RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 		bytes += b
 	}
 	res.FinalRate = units.RateOf(bytes, units.Time(len(bins)-start)*tp.Width)
-	if err := sim.CheckAnalytic(); err != nil {
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig18 %v: %w", cfg.FC, err)
 	}
 	return res, nil

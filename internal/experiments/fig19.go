@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/metrics"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
 	"github.com/gfcsim/gfc/internal/units"
@@ -50,15 +53,14 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 		Run:      scenario.RunSpec{DurationNs: cfg.Duration, Analytic: true},
 	}
 	// Per-channel feedback wire bytes come straight off the metrics
-	// registry: the run is stepped one bin at a time and each channel's
-	// cumulative FeedbackWire counter is differenced per step.
+	// registry: each bin closes in an engine event at its boundary that
+	// differences every channel's cumulative FeedbackWire counter.
 	const bin = 500 * units.Microsecond
 	reg := metrics.New(metrics.Options{})
 	sim, err := scenario.Build(spec, &scenario.Overrides{Metrics: reg})
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
 	nBins := int(cfg.Duration / bin)
 	nc := reg.NumChannels()
 	prev := make([]units.Size, nc)
@@ -67,16 +69,20 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 		binWire[c] = make([]units.Size, nBins)
 	}
 	for b := 0; b < nBins; b++ {
-		net.Run(bin * units.Time(b+1))
-		for c := 0; c < nc; c++ {
-			w := reg.Counter(c).FeedbackWire
-			binWire[c][b] = w - prev[c]
-			prev[c] = w
-		}
+		lastAt(sim.Net.Engine(), bin*units.Time(b+1), func() {
+			for c := 0; c < nc; c++ {
+				w := reg.Counter(c).FeedbackWire
+				binWire[c][b] = w - prev[c]
+				prev[c] = w
+			}
+		})
 	}
-	net.Run(cfg.Duration) // tail when Duration is not a whole bin count
+	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
+	if err != nil {
+		return nil, err
+	}
 
-	res := &OverheadResult{CDF: &stats.CDF{}, Drops: net.Drops()}
+	res := &OverheadResult{CDF: &stats.CDF{}, Drops: run.Drops}
 	cap10G := float64(10 * units.Gbps)
 	for c := 0; c < nc; c++ {
 		// As in the paper's measurement, only channels that carried any
@@ -93,8 +99,25 @@ func RunOverhead(cfg OverheadConfig) (*OverheadResult, error) {
 	res.Mean = res.CDF.Mean()
 	res.P99 = res.CDF.Quantile(0.99)
 	res.Max = res.CDF.Max()
-	if err := sim.CheckAnalytic(); err != nil {
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig19 %v: %w", cfg.FC, err)
 	}
 	return res, nil
+}
+
+// lastAt schedules fn to run at time t after every other event at t,
+// including events that t-events schedule at t while it waits: while the
+// queue still shows an event at t, the event re-arms itself behind it. fn
+// therefore sees the state a run with horizon t ends in. Two lastAt events
+// at the same instant would re-arm behind each other forever.
+func lastAt(eng *eventsim.Engine, t units.Time, fn func()) {
+	var rearm func()
+	rearm = func() {
+		if next, ok := eng.Peek(); ok && next.At() == t {
+			eng.Schedule(t, rearm)
+			return
+		}
+		fn()
+	}
+	eng.Schedule(t, rearm)
 }

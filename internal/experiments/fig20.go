@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/gfcsim/gfc/internal/dcqcn"
@@ -99,10 +100,13 @@ func RunFig20(duration units.Time) (*Fig20Result, error) {
 		}
 	}
 	net.Engine().After(50*units.Microsecond, sample)
-	net.Run(duration)
+	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
+	if err != nil {
+		return nil, err
+	}
 	res.FinalDCQCN = units.Rate(res.DCQCNRate.MeanAfter(duration * 3 / 4))
-	res.Drops = net.Drops()
-	if err := sim.CheckAnalytic(); err != nil {
+	res.Drops = run.Drops
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig20: %w", err)
 	}
 	return res, nil

@@ -77,11 +77,10 @@ type RingConfig struct {
 	// Detector selects the deadlock detector(s), as in
 	// scenario.RunSpec.Detector: "" or "global", "dcfit", or "both".
 	Detector string
-	// Ctx and Budget, when either is set, run the simulation under the
-	// netsim governor (RunBounded) instead of the uninstrumented Run: the
+	// Ctx and Budget govern the run (scenario.Sim.RunBounded): the
 	// context is polled and the budget enforced, and a tripped governor
-	// surfaces as a *netsim.RunError. Left zero, the historic ungoverned
-	// path runs — bit-identical to every pinned fig9 golden.
+	// surfaces as a *netsim.RunError. A nil Ctx means
+	// context.Background(); a zero Budget imposes no bounds.
 	Ctx    context.Context
 	Budget netsim.Budget
 }
@@ -159,17 +158,13 @@ func RunRing(cfg RingConfig) (*RingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	if cfg.Ctx != nil || cfg.Budget != (netsim.Budget{}) {
-		ctx := cfg.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if err := net.RunBounded(ctx, cfg.Duration, cfg.Budget); err != nil {
-			return nil, err
-		}
-	} else {
-		net.Run(cfg.Duration)
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	run, err := sim.RunBounded(ctx, cfg.Budget)
+	if err != nil {
+		return nil, err
 	}
 
 	for i, r := range arrivals.Rates() {
@@ -177,38 +172,18 @@ func RunRing(cfg RingConfig) (*RingResult, error) {
 	}
 	res.SteadyQueue = units.Size(res.Queue.MeanAfter(cfg.Duration * 3 / 4))
 	res.SteadyRate = units.Rate(res.Rate.MeanAfter(cfg.Duration * 3 / 4))
-	res.Drops = net.Drops()
+	res.Drops = run.Drops
+	res.Delivered = run.Delivered
 	for i, f := range sim.Flows {
-		res.Delivered += f.Delivered
 		if i == 0 || f.Delivered < res.MinFlow {
 			res.MinFlow = f.Delivered
 		}
 	}
-	if sim.Injector != nil {
-		res.FaultStats = sim.Injector.Stats()
-	}
-	switch {
-	case sim.Detector != nil:
-		if rep := sim.Detector.Deadlocked(); rep != nil {
-			res.Deadlocked = true
-			res.DeadlockAt = rep.At
-			res.DeadlockKind = rep.Kind
-		}
-	case sim.DCFIT != nil:
-		// Detector "dcfit" alone: its verdict is the run's verdict.
-		if rep := sim.DCFIT.Deadlocked(); rep != nil {
-			res.Deadlocked = true
-			res.DeadlockAt = rep.At
-			res.DeadlockKind = rep.Kind
-		}
-	}
-	if sim.DCFIT != nil {
-		if rep := sim.DCFIT.Deadlocked(); rep != nil {
-			res.DCFITDeadlocked = true
-			res.DCFITAt = rep.At
-		}
-	}
-	if err := sim.CheckAnalytic(); err != nil {
+	res.FaultStats = run.FaultStats
+	// With Detector "dcfit" alone, DCFIT's verdict is the run's verdict.
+	res.Deadlocked, res.DeadlockAt, res.DeadlockKind = run.Deadlocked, run.DeadlockAt, run.DeadlockKind
+	res.DCFITDeadlocked, res.DCFITAt = run.DCFITDeadlocked, run.DCFITAt
+	if err := run.Analytic.Err; err != nil {
 		return res, fmt.Errorf("fig9 %v: %w", cfg.FC, err)
 	}
 	return res, nil

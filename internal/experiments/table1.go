@@ -293,7 +293,8 @@ func sweepSpec(fc FC, cfg SweepConfig, repeatSeed int64) scenario.Spec {
 // topology and routing table are supplied prebuilt (sweeps reuse them across
 // repeats), so the Spec's topology section is documentation only. The run is
 // governed: ctx cancellation and cfg.Budget are enforced via
-// netsim.RunBounded, and a tripped governor surfaces as a *netsim.RunError.
+// scenario.Sim.RunBounded, and a tripped governor surfaces as a
+// *netsim.RunError.
 func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Table, fc FC, cfg SweepConfig, repeatSeed int64) (*ScenarioResult, error) {
 	spec := sweepSpec(fc, cfg, repeatSeed)
 	// The metrics registry supplies the feedback-byte accounting the
@@ -309,20 +310,17 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 	if err != nil {
 		return nil, err
 	}
-	net := sim.Net
-	gen := sim.Gen
-	if err := net.RunBounded(ctx, cfg.Duration, cfg.Budget); err != nil {
+	run, err := sim.RunBounded(ctx, cfg.Budget)
+	if err != nil {
 		return nil, err
 	}
 
-	res := &ScenarioResult{Drops: net.Drops()}
-	if rep := sim.Detector.Deadlocked(); rep != nil {
-		res.Deadlocked = true
-		res.DeadlockAt = rep.At
+	res := &ScenarioResult{
+		Drops: run.Drops, Deadlocked: run.Deadlocked, DeadlockAt: run.DeadlockAt,
 	}
 	hosts := len(topo.Hosts())
-	res.HostBandwidth = units.RateOf(net.TotalDelivered(), cfg.Duration) / units.Rate(hosts)
-	for _, f := range gen.Completed {
+	res.HostBandwidth = units.RateOf(run.Delivered, cfg.Duration) / units.Rate(hosts)
+	for _, f := range sim.Gen.Completed {
 		ideal := routing.PathLatency(f.Path, 1500*units.Byte) +
 			units.TransmissionTime(f.Size, 10*units.Gbps)
 		res.Slowdowns = append(res.Slowdowns, stats.Slowdown(f.FCT(), ideal))
@@ -338,23 +336,19 @@ func RunScenario(ctx context.Context, topo *topology.Topology, tab *routing.Tabl
 	if capBits > 0 {
 		res.FeedbackFraction = float64(reg.Summary().FeedbackWire.Bits()) / capBits
 	}
-	res.HighWater = reg.SwitchHighWater()
-	if cfg.Analytic {
-		pred, verr := sim.VerifyAnalytic(&scenario.Result{
-			End:        net.Now(),
-			Delivered:  net.TotalDelivered(),
-			Deadlocked: res.Deadlocked,
-		})
-		if verr != nil {
-			return nil, fmt.Errorf("analytic check: %w", verr)
+	res.HighWater = run.HighWater
+	if a := run.Analytic; a != nil {
+		if a.Err != nil {
+			return nil, fmt.Errorf("analytic check: %w", a.Err)
 		}
+		pred := a.Prediction
 		res.Analytic = &AnalyticVerdict{
 			DeadlockFree: pred.DeadlockFree,
 			Lossless:     pred.Lossless,
 			MaxOccupancy: pred.MaxOccupancy,
-			HighWater:    reg.SwitchHighWater(),
+			HighWater:    run.HighWater,
 			MaxDelivered: pred.MaxDelivered,
-			Delivered:    net.TotalDelivered(),
+			Delivered:    run.Delivered,
 		}
 	}
 	return res, nil

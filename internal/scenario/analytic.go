@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"github.com/gfcsim/gfc/internal/analytic"
 	"github.com/gfcsim/gfc/internal/cbd"
 	"github.com/gfcsim/gfc/internal/workload"
@@ -76,39 +74,22 @@ func (s *Sim) cbdVerdict() (known, cyclic bool) {
 	return true, c
 }
 
-// VerifyAnalytic checks res against this scenario's analytic prediction,
-// returning the prediction and the verdict: nil when every network-wide
-// bound held, a *metrics.InvariantError otherwise. A governed run that was
-// stopped early (res.Stopped != nil) drops the progress floor — the horizon
-// the floor reasons about was never reached.
-func (s *Sim) VerifyAnalytic(res *Result) (*analytic.Prediction, error) {
+// analyticCheck checks res against this scenario's analytic prediction. The
+// verdict is nil when every network-wide bound held, a
+// *metrics.InvariantError otherwise. A governed run that was stopped early
+// (res.Stopped != nil) drops the progress floor — the horizon the floor
+// reasons about was never reached.
+func (s *Sim) analyticCheck(res *Result) *AnalyticCheck {
 	pred, err := s.Predict()
 	if err != nil {
-		return nil, err
-	}
-	if s.Metrics == nil {
-		return pred, fmt.Errorf("scenario: analytic check needs a metrics registry (set run.analytic or attach one via Overrides)")
+		return &AnalyticCheck{Err: err}
 	}
 	b := pred.Bounds()
 	if res.Stopped != nil {
 		b.MinDelivered = 0
 	}
 	if ierr := s.Metrics.CheckNetwork(b, res.End, res.Delivered, res.Deadlocked); ierr != nil {
-		return pred, ierr
+		return &AnalyticCheck{Prediction: pred, Err: ierr}
 	}
-	return pred, nil
-}
-
-// analyticCheck wraps VerifyAnalytic into the Result attachment.
-func (s *Sim) analyticCheck(res *Result) *AnalyticCheck {
-	pred, err := s.VerifyAnalytic(res)
-	return &AnalyticCheck{Prediction: pred, Err: err}
-}
-
-// CheckAnalytic runs the network-wide analytic check against the network's
-// current state — the entry point for drivers that step the engine
-// themselves instead of calling Run/RunBounded. It returns nil when every
-// bound held.
-func (s *Sim) CheckAnalytic() error {
-	return s.analyticCheck(s.summarise()).Err
+	return &AnalyticCheck{Prediction: pred}
 }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/deadlock"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -18,7 +20,11 @@ func runPreset(t *testing.T, name string) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run()
+	res, err := sim.RunBounded(context.Background(), netsim.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestBFCFormationRingSurvives: the fig9 formation ring wedges PFC in

@@ -220,7 +220,7 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 	return sim, nil
 }
 
-// Result summarises one Sim.Run.
+// Result summarises one Sim.RunBounded.
 type Result struct {
 	Name         string
 	FC           FC
@@ -252,15 +252,20 @@ type Result struct {
 	// the partial run up to the stop point.
 	Stopped *netsim.RunError
 	// Analytic carries the network-wide analytic verdict when
-	// Run.Analytic was set (nil otherwise). Run and RunBounded fill it
-	// after Stopped is known — early-stopped runs drop the progress
-	// floor.
+	// Run.Analytic was set (nil otherwise). RunBounded fills it after
+	// Stopped is known — early-stopped runs drop the progress floor.
 	Analytic *AnalyticCheck
 }
 
-// Run executes the built scenario to its declared duration (honouring
-// StopOnDeadlock and Quiesce) and collects the summary verdict.
-func (s *Sim) Run() *Result {
+// RunBounded executes the built scenario to its declared duration under the
+// netsim run governor and collects the summary verdict. It is the only way a
+// built Sim runs: ctx cancellation, event/wall/heap budgets and the stall
+// watchdog all apply, composed from the spec's Limits block overlaid with the
+// caller's extra budget (non-zero caller fields win); a zero Budget with no
+// Limits runs unbounded. StopOnDeadlock ends the run at the first poll of the
+// detector that sees a deadlock. A tripped governor returns the partial
+// Result — with Result.Stopped set — alongside the *netsim.RunError.
+func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
 	d := s.Spec.Run.DurationNs
 	eng := s.Net.Engine()
 	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
@@ -276,58 +281,16 @@ func (s *Sim) Run() *Result {
 		}
 		eng.After(p.PollInterval(), watch)
 	}
-	if s.Spec.Run.Quiesce {
-		for eng.Pending() > 0 && s.Net.Now() < d {
-			if !eng.Step() {
-				break
-			}
-		}
-	} else {
-		// A heartbeat pins the horizon so the clock reaches d even if
-		// the event queue drains early (deadlock, finished workload).
-		eng.Schedule(d, func() {})
-		s.Net.Run(d)
-	}
-
-	return s.finish(s.summarise())
-}
-
-// RunBounded is Run under the netsim run governor: ctx cancellation,
-// event/wall budgets and the stall watchdog all apply, composed from the
-// spec's Limits block overlaid with the caller's extra budget (non-zero
-// caller fields win). A tripped governor returns the partial Result — with
-// Result.Stopped set — alongside the *netsim.RunError. Quiesce specs run
-// without the horizon heartbeat, so draining the queue still ends the run
-// early; StopOnDeadlock watching works as in Run.
-func (s *Sim) RunBounded(ctx context.Context, extra netsim.Budget) (*Result, error) {
-	d := s.Spec.Run.DurationNs
-	eng := s.Net.Engine()
-	if p := s.probe(); s.Spec.Run.StopOnDeadlock && p != nil {
-		var watch func()
-		watch = func() {
-			if p.Deadlocked() != nil {
-				eng.Stop()
-				return
-			}
-			eng.After(p.PollInterval(), watch)
-		}
-		eng.After(p.PollInterval(), watch)
-	}
-	if !s.Spec.Run.Quiesce {
-		// As in Run: pin the horizon so the clock reaches d even if the
-		// event queue drains early.
-		eng.Schedule(d, func() {})
-	}
+	// A heartbeat pins the horizon so the clock reaches d even if the
+	// event queue drains early (deadlock, finished workload).
+	eng.Schedule(d, func() {})
 	err := s.Net.RunBounded(ctx, d, s.Spec.Limits.Budget().Overlay(extra))
 	res := s.summarise()
-	if err != nil {
-		var re *netsim.RunError
-		if errors.As(err, &re) {
-			res.Stopped = re
-		}
-		return s.finish(res), err
+	var re *netsim.RunError
+	if errors.As(err, &re) {
+		res.Stopped = re
 	}
-	return s.finish(res), nil
+	return s.finish(res), err
 }
 
 // summarise collects the run's verdict from the network and subsystems.

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/metrics"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -38,7 +40,10 @@ func TestClos128Smoke(t *testing.T) {
 			if got := len(sim.Topo.Hosts()); got != 128 {
 				t.Fatalf("clos128 has %d hosts, want 128", got)
 			}
-			res := sim.Run()
+			res, err := sim.RunBounded(context.Background(), netsim.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res.End < spec.Run.DurationNs {
 				t.Fatalf("run ended at %v, want %v", res.End, spec.Run.DurationNs)
 			}

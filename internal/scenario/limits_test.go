@@ -120,26 +120,3 @@ func TestRunBoundedOverlayPrecedence(t *testing.T) {
 		t.Fatal("spec limit won over the caller's budget")
 	}
 }
-
-func TestRunBoundedWithoutLimitsMatchesRun(t *testing.T) {
-	a, err := Build(governedSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(governedSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := a.Run()
-	rb, err := b.RunBounded(context.Background(), netsim.Budget{})
-	if err != nil {
-		t.Fatalf("unbounded RunBounded: %v", err)
-	}
-	if rb.Stopped != nil {
-		t.Fatal("completed run marked as stopped")
-	}
-	if ra.End != rb.End || ra.Delivered != rb.Delivered || ra.Drops != rb.Drops ||
-		ra.Deadlocked != rb.Deadlocked {
-		t.Fatalf("governed run diverged: %+v vs %+v", ra, rb)
-	}
-}

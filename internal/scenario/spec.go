@@ -3,11 +3,11 @@
 // routing policy, workload (pinned flows or the paper's inter-rack
 // generator), flow-control scheme with FCParams, an optional fault scenario
 // and the run/stop conditions — and one Build call compiles it into a
-// ready-to-run netsim.Network.
+// ready-to-run netsim.Network that Sim.RunBounded executes.
 //
 // Every figure/table driver in internal/experiments is a thin Spec literal
 // over this layer, and the same Specs are exposed by name through a registry
-// (Register/Get/Names) consumed by cmd/gfcsim and examples/sweep; user
+// (Register/Get/Names) consumed by cmd/gfcsim; user
 // -scenario files parse with the same strict decoder as fault specs
 // (unknown fields rejected).
 //
@@ -245,14 +245,9 @@ type RunSpec struct {
 	// StopOnDeadlock ends the run at first detection (implies
 	// DetectDeadlock).
 	StopOnDeadlock bool `json:"stop_on_deadlock,omitempty"`
-	// Quiesce ends the run when the event queue drains, if that happens
-	// before DurationNs. Recurring events (the deadlock detector's poll,
-	// unbounded flows) keep the queue non-empty, so Quiesce only
-	// terminates early for finite, detector-free workloads.
-	Quiesce bool `json:"quiesce,omitempty"`
 	// Analytic attaches the network-wide analytic checker: Build ensures
 	// a metrics registry is bound (attaching one if no override supplies
-	// it) and Run/RunBounded fill Result.Analytic with the prediction and
+	// it) and RunBounded fills Result.Analytic with the prediction and
 	// the end-of-run verdict (internal/analytic, DESIGN.md §3.8). The
 	// check is post-run only — it never perturbs the event sequence.
 	Analytic bool `json:"analytic,omitempty"`
