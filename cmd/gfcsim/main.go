@@ -28,6 +28,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -53,9 +54,9 @@ var (
 	series     = flag.Bool("series", false, "print raw time-series data points")
 	chart      = flag.Bool("chart", false, "render time series as ASCII charts")
 	metricsOut = flag.String("metrics-out", "",
-		"write per-channel metrics reports (JSON, or CSV when the path ends in .csv)\nand fail on invariant violations; supported by fig9/fig10/fig12/fig13/fig14")
+		"write per-channel metrics reports (JSON, or CSV when the path ends in .csv)\nand fail on invariant violations; supported by fig9/fig10/fig12/fig13/fig14\nand -scenario (any other -exp rejects it)")
 	faultSpec = flag.String("faults", "",
-		"fault scenario: a preset name (resume-loss, feedback-loss, feedback-delay,\nflap, degrade) or a path to a JSON spec file; applies to fig9/fig10 and the\nfaults matrix (deterministic per -seed)")
+		"fault scenario: a preset name (resume-loss, feedback-loss, feedback-delay,\nflap, degrade) or a path to a JSON spec file; applies to fig9/fig10 and the\nfaults matrix (deterministic per -seed). resume-loss and feedback-loss name\nthe ring link S1-S2 and compile on no other topology")
 	scenarioName = flag.String("scenario", "",
 		"run a declarative scenario: a registered name (see -list) or a path to a\nspec JSON file (format in EXPERIMENTS.md)")
 	listScenarios = flag.Bool("list", false, "list the registered scenarios and exit")
@@ -230,6 +231,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "give -exp or -scenario, not both")
 		os.Exit(2)
 	}
+	if err := checkMetricsOut(*expName, *metricsOut); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var stop context.CancelFunc
 	ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -273,6 +278,20 @@ func main() {
 		os.Exit(2)
 	}
 	finish(err)
+}
+
+// metricsExps are the experiments whose runs attach a metrics registry, so
+// -metrics-out has something to write; -scenario supports it too.
+var metricsExps = []string{"fig9", "fig10", "fig12", "fig13", "fig14"}
+
+// checkMetricsOut rejects -metrics-out for an experiment that would ignore it
+// (exp is empty for -scenario runs, which support it).
+func checkMetricsOut(exp, out string) error {
+	if out == "" || exp == "" || slices.Contains(metricsExps, exp) {
+		return nil
+	}
+	return fmt.Errorf("-metrics-out is supported by %s and -scenario, not by -exp %s",
+		strings.Join(metricsExps, ", "), exp)
 }
 
 // runScenario resolves -scenario (registry name or spec file), applies the

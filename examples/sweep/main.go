@@ -21,7 +21,7 @@ func main() {
 	networks := flag.Int("networks", 120, "random scenarios to scan")
 	repeats := flag.Int("repeats", 2, "workload repeats per prone scenario")
 	seed := flag.Int64("seed", 1, "base seed")
-	faultsFlag := flag.String("faults", "", "fault scenario: a preset name or a JSON spec file path,\ninjected into every simulated run (deterministic per -seed)")
+	faultsFlag := flag.String("faults", "", "fault scenario: a preset name or a JSON spec file path,\ninjected into every simulated run (deterministic per -seed); the fat-tree\nsweep fits feedback-delay, flap and degrade, not the ring-only resume-loss\nand feedback-loss")
 	flag.Parse()
 
 	var faultSpec *gfc.FaultSpec

@@ -199,7 +199,7 @@ var (
 // Simulation.
 type (
 	// Options configures a simulation (buffer sizes, flow control,
-	// switching discipline, tracing, ...).
+	// switching discipline, metrics, faults, ...).
 	Options = netsim.Config
 	// Simulation is a runnable network instance.
 	Simulation = netsim.Network
@@ -207,7 +207,8 @@ type (
 	Flow = netsim.Flow
 	// Packet is one frame in flight.
 	Packet = netsim.Packet
-	// Trace carries observation hooks.
+	// Trace carries observation hooks; subscribe one with
+	// Simulation.Observe.
 	Trace = netsim.Trace
 	// Scheduling selects the switching discipline.
 	Scheduling = netsim.Scheduling
@@ -370,8 +371,10 @@ var (
 type (
 	// Scenario is a complete declarative experiment description.
 	Scenario = scenario.Spec
-	// ScenarioOverrides carries the runtime-only hooks (traces, prebuilt
-	// topologies, metrics) a serialised Scenario cannot express.
+	// ScenarioOverrides carries the runtime-only inputs (prebuilt
+	// topologies, per-flow hooks, metrics, fault plans) a serialised
+	// Scenario cannot express. Observe a built scenario through
+	// ScenarioSim.Net.Observe.
 	ScenarioOverrides = scenario.Overrides
 	// ScenarioSim is a built, ready-to-run scenario.
 	ScenarioSim = scenario.Sim

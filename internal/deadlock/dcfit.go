@@ -5,6 +5,7 @@ import (
 
 	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -33,7 +34,7 @@ func (d *Detector) PollInterval() units.Time { return d.Interval }
 type FeedbackNetwork interface {
 	Now() units.Time
 	Engine() *eventsim.Engine
-	SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message))
+	Observe(*netsim.Trace)
 }
 
 // EdgeKey identifies one pause-dependency edge in the data plane: the
@@ -123,7 +124,7 @@ func (d *DCFIT) Install() {
 		return
 	}
 	d.installed = true
-	d.net.SetFeedbackObserver(d.onDeliver)
+	d.net.Observe(&netsim.Trace{OnFeedback: d.onDeliver})
 	var tick func()
 	tick = func() {
 		if d.Check() != nil {
@@ -145,7 +146,7 @@ func (d *DCFIT) Edges() int { return len(d.edges) }
 
 // onDeliver is the feedback observer: it runs at the instant a message
 // reaches its sender, after fault loss/delay.
-func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Message) {
+func (d *DCFIT) onDeliver(t units.Time, from, to topology.NodeID, prio int, m flowcontrol.Message) {
 	queue := -1
 	switch m.Kind {
 	case flowcontrol.KindQueuePause, flowcontrol.KindQueueResume:
@@ -168,7 +169,7 @@ func (d *DCFIT) onDeliver(from, to topology.NodeID, prio int, m flowcontrol.Mess
 		} else {
 			d.seq++
 		}
-		d.edges[key] = &dcfitEdge{tag: tag, since: d.net.Now()}
+		d.edges[key] = &dcfitEdge{tag: tag, since: t}
 	case flowcontrol.KindResume, flowcontrol.KindQueueResume:
 		delete(d.edges, key)
 		if d.hasCand && d.candKey == key {

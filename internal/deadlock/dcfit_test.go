@@ -5,6 +5,7 @@ import (
 
 	"github.com/gfcsim/gfc/internal/eventsim"
 	"github.com/gfcsim/gfc/internal/flowcontrol"
+	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
@@ -13,30 +14,28 @@ import (
 // bookkeeping and cycle walk can be pinned without staging real traffic.
 type fakeFeedbackNet struct {
 	now units.Time
-	obs func(from, to topology.NodeID, prio int, m flowcontrol.Message)
+	obs func(t units.Time, from, to topology.NodeID, prio int, m flowcontrol.Message)
 }
 
 func (f *fakeFeedbackNet) Now() units.Time          { return f.now }
 func (f *fakeFeedbackNet) Engine() *eventsim.Engine { panic("Check-only fake") }
-func (f *fakeFeedbackNet) SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message)) {
-	f.obs = fn
-}
+func (f *fakeFeedbackNet) Observe(tr *netsim.Trace) { f.obs = tr.OnFeedback }
 
 func newFakeDCFIT() (*DCFIT, *fakeFeedbackNet) {
 	f := &fakeFeedbackNet{now: units.Millisecond}
 	d := NewDCFIT(f)
-	d.net.SetFeedbackObserver(d.onDeliver)
+	d.net.Observe(&netsim.Trace{OnFeedback: d.onDeliver})
 	return d, f
 }
 
 // pause delivers a PAUSE emitted by down to its upstream up, creating the
 // dependency edge up→down.
 func (f *fakeFeedbackNet) pause(up, down topology.NodeID) {
-	f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindPause})
+	f.obs(f.now, down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindPause})
 }
 
 func (f *fakeFeedbackNet) resume(up, down topology.NodeID) {
-	f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindResume})
+	f.obs(f.now, down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindResume})
 }
 
 // TestDCFITReportsCycleAfterWindow is the positive control: a closed
@@ -141,10 +140,10 @@ func TestDCFITResumeResetsPersistence(t *testing.T) {
 func TestDCFITQueueScopedEdges(t *testing.T) {
 	d, f := newFakeDCFIT()
 	qpause := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
+		f.obs(f.now, down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueuePause, QueueID: q})
 	}
 	qresume := func(up, down topology.NodeID, q int) {
-		f.obs(down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
+		f.obs(f.now, down, up, 0, flowcontrol.Message{Kind: flowcontrol.KindQueueResume, QueueID: q})
 	}
 	qpause(1, 2, 3)
 	qpause(2, 3, 1)
@@ -167,7 +166,7 @@ func TestDCFITIgnoresNonPauseFeedback(t *testing.T) {
 	for _, k := range []flowcontrol.Kind{
 		flowcontrol.KindCredit, flowcontrol.KindStage, flowcontrol.KindQueue,
 	} {
-		f.obs(2, 1, 0, flowcontrol.Message{Kind: k})
+		f.obs(f.now, 2, 1, 0, flowcontrol.Message{Kind: k})
 	}
 	if d.Edges() != 0 {
 		t.Fatalf("edges = %d from non-pause feedback, want 0", d.Edges())

@@ -8,7 +8,6 @@ import (
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
-	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -107,22 +106,18 @@ func RunCaseStudy(cfg CaseStudyConfig) (*CaseStudyResult, units.Rate, error) {
 	// the same call that bumps Flow.Delivered).
 	windowStart := cfg.Duration * 3 / 4
 	windowed := make(map[*netsim.Flow]units.Size)
-	sim, err := scenario.Build(caseStudySpec(cfg), &scenario.Overrides{
-		Metrics: cfg.Metrics,
-		Trace: func(*topology.Topology) *netsim.Trace {
-			return &netsim.Trace{
-				OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
-					tp.Add(t, pkt.Size)
-					if t > windowStart {
-						windowed[f] += pkt.Size
-					}
-				},
-			}
-		},
-	})
+	sim, err := scenario.Build(caseStudySpec(cfg), &scenario.Overrides{Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, 0, err
 	}
+	sim.Net.Observe(&netsim.Trace{
+		OnDeliver: func(t units.Time, f *netsim.Flow, pkt *netsim.Packet) {
+			tp.Add(t, pkt.Size)
+			if t > windowStart {
+				windowed[f] += pkt.Size
+			}
+		},
+	})
 	flows := sim.Flows
 	var victim *netsim.Flow
 	if cfg.WithVictim {

@@ -7,7 +7,6 @@ import (
 	"github.com/gfcsim/gfc/internal/netsim"
 	"github.com/gfcsim/gfc/internal/scenario"
 	"github.com/gfcsim/gfc/internal/stats"
-	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -66,18 +65,15 @@ func RunEvolution(cfg EvolutionConfig) (*EvolutionResult, error) {
 		},
 	}
 	tp := stats.NewBinCounter(100 * units.Microsecond)
-	sim, err := scenario.Build(spec, &scenario.Overrides{
-		Trace: func(*topology.Topology) *netsim.Trace {
-			return &netsim.Trace{
-				OnDeliver: func(t units.Time, _ *netsim.Flow, pkt *netsim.Packet) {
-					tp.Add(t, pkt.Size)
-				},
-			}
-		},
-	})
+	sim, err := scenario.Build(spec, nil)
 	if err != nil {
 		return nil, err
 	}
+	sim.Net.Observe(&netsim.Trace{
+		OnDeliver: func(t units.Time, _ *netsim.Flow, pkt *netsim.Packet) {
+			tp.Add(t, pkt.Size)
+		},
+	})
 	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
 	if err != nil {
 		return nil, err

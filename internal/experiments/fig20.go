@@ -63,19 +63,6 @@ func RunFig20(duration units.Time) (*Fig20Result, error) {
 		GFCRate:   &stats.Series{},
 	}
 	sim, err := scenario.Build(spec, &scenario.Overrides{
-		Trace: func(topo *topology.Topology) *netsim.Trace {
-			s1 := topo.MustLookup("S1")
-			return &netsim.Trace{
-				OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
-					if node == s1 && port == 0 {
-						res.Queue.Append(t, float64(q))
-					}
-					if node == s1 && units.Size(q) > res.MaxQueue {
-						res.MaxQueue = q
-					}
-				},
-			}
-		},
 		OnFlow: func(f *netsim.Flow, net *netsim.Network) error {
 			rp := dcqcn.Attach(net, f, dcqcn.DefaultConfig(10*units.Gbps))
 			if f.ID == 1 {
@@ -90,6 +77,17 @@ func RunFig20(duration units.Time) (*Fig20Result, error) {
 		return nil, err
 	}
 	net := sim.Net
+	s1 := sim.Topo.MustLookup("S1")
+	net.Observe(&netsim.Trace{
+		OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+			if node == s1 && port == 0 {
+				res.Queue.Append(t, float64(q))
+			}
+			if node == s1 && q > res.MaxQueue {
+				res.MaxQueue = q
+			}
+		},
+	})
 	// Sample H1's GFC port rate periodically.
 	h1 := sim.Topo.MustLookup("H1")
 	var sample func()

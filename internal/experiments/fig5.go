@@ -69,28 +69,11 @@ func RunFig5(fc FC, duration units.Time) (*Fig5Result, error) {
 
 	res := &Fig5Result{FC: fc, Queue: &stats.Series{}, Rate: &stats.Series{}}
 	arrivals := stats.NewBinCounter(25 * units.Microsecond)
-	sim, err := scenario.Build(spec, &scenario.Overrides{
-		Trace: func(topo *topology.Topology) *netsim.Trace {
-			s1 := topo.MustLookup("S1")
-			h1 := topo.MustLookup("H1")
-			return &netsim.Trace{
-				OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
-					// Monitor the ingress from H1 (port 0 on S1).
-					if node == s1 && port == 0 {
-						res.Queue.Append(t, float64(q))
-					}
-				},
-				OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
-					if node == s1 && pkt.Flow.Src == h1 {
-						arrivals.Add(t, pkt.Size)
-					}
-				},
-			}
-		},
-	})
+	sim, err := scenario.Build(spec, nil)
 	if err != nil {
 		return nil, err
 	}
+	observeH1Ingress(sim, res.Queue, arrivals)
 	run, err := sim.RunBounded(context.Background(), netsim.Budget{})
 	if err != nil {
 		return nil, err
@@ -104,4 +87,24 @@ func RunFig5(fc FC, duration units.Time) (*Fig5Result, error) {
 		return res, fmt.Errorf("fig5 %v: %w", fc, err)
 	}
 	return res, nil
+}
+
+// observeH1Ingress subscribes the collectors Figures 5 and 9 plot: S1's
+// ingress queue from H1 (local port 0) into queue, and the bytes of H1's
+// traffic arriving at S1 into arrivals.
+func observeH1Ingress(sim *scenario.Sim, queue *stats.Series, arrivals *stats.BinCounter) {
+	s1 := sim.Topo.MustLookup("S1")
+	h1 := sim.Topo.MustLookup("H1")
+	sim.Net.Observe(&netsim.Trace{
+		OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
+			if node == s1 && port == 0 {
+				queue.Append(t, float64(q))
+			}
+		},
+		OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
+			if node == s1 && pkt.Flow.Src == h1 {
+				arrivals.Add(t, pkt.Size)
+			}
+		},
+	})
 }

@@ -138,26 +138,11 @@ func RunRing(cfg RingConfig) (*RingResult, error) {
 		Metrics:   cfg.Metrics,
 		FaultPlan: cfg.Faults,
 		FaultSeed: cfg.FaultSeed,
-		Trace: func(topo *topology.Topology) *netsim.Trace {
-			s1 := topo.MustLookup("S1")
-			h1 := topo.MustLookup("H1")
-			return &netsim.Trace{
-				OnQueue: func(t units.Time, node topology.NodeID, port, _ int, q units.Size) {
-					if node == s1 && port == 0 {
-						res.Queue.Append(t, float64(q))
-					}
-				},
-				OnArrival: func(t units.Time, node topology.NodeID, pkt *netsim.Packet) {
-					if node == s1 && pkt.Flow.Src == h1 {
-						arrivals.Add(t, pkt.Size)
-					}
-				},
-			}
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	observeH1Ingress(sim, res.Queue, arrivals)
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()

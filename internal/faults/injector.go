@@ -123,7 +123,10 @@ func (inj *Injector) FeedbackVerdict(
 func (inj *Injector) Stats() Stats { return inj.stats }
 
 // Preset returns a named built-in scenario. These are the rows of the
-// fault matrix in EXPERIMENTS.md; list them with PresetNames.
+// fault matrix in EXPERIMENTS.md; list them with PresetNames. Every preset
+// compiles on the fig9 ring, but "resume-loss" and "feedback-loss" name the
+// ring link S1-S2, so Spec.Compile rejects them on any topology without
+// switches S1 and S2 (every fat-tree); the other three target only "*".
 func Preset(name string) (*Spec, error) {
 	switch name {
 	case "resume-loss":
@@ -239,7 +242,9 @@ func Preset(name string) (*Spec, error) {
 	}
 }
 
-// PresetNames lists the built-in scenario names.
+// PresetNames lists the built-in scenario names. "resume-loss" and
+// "feedback-loss" compile only on topologies with an S1-S2 link (the fig9
+// ring); see Preset.
 func PresetNames() []string {
 	return []string{"resume-loss", "feedback-loss", "feedback-delay", "flap", "degrade"}
 }

@@ -91,8 +91,6 @@ type Config struct {
 	// ingress accounting; returning the current priority is a no-op,
 	// and lowering or exceeding Priorities-1 panics (a scheme bug).
 	Escalation func(pkt *Packet, at topology.NodeID) int
-	// Trace receives observation callbacks; may be nil.
-	Trace *Trace
 	// Metrics, when non-nil, is bound to this network at construction and
 	// accumulates per-channel counters plus runtime invariant verdicts
 	// (losslessness, theorem ceilings). Every hot-path call is guarded by

@@ -24,7 +24,7 @@ func (n *Network) completeTx(p *port) {
 	p.busy = false
 	n.senders[p.cb+prio].OnSent(pkt.Size, dur)
 	n.txBytes[p.cb+prio] += pkt.Size
-	n.cfg.Trace.transmit(now, p.owner.id, p.local, pkt)
+	n.obs.transmit(now, p.owner.id, p.local, pkt)
 
 	switch p.owner.kind {
 	case topology.Switch:
@@ -35,7 +35,7 @@ func (n *Network) completeTx(p *port) {
 		n.occupancy[ch] -= pkt.Size
 		n.progress[ch].departed += pkt.Size
 		n.progress[ch].lastDepart = now
-		n.cfg.Trace.queue(now, p.owner.id, ing.local, prio, n.occupancy[ch])
+		n.obs.queue(now, p.owner.id, ing.local, prio, n.occupancy[ch])
 		if reg := n.metrics; reg != nil {
 			reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])
 		}
@@ -65,7 +65,7 @@ func (n *Network) completeTx(p *port) {
 // arrive admits a fully received packet at nd via local port idx.
 func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 	now := n.eng.Now()
-	n.cfg.Trace.arrival(now, nd.id, pkt)
+	n.obs.arrival(now, nd.id, pkt)
 
 	if nd.kind == topology.Host {
 		f := pkt.Flow
@@ -75,13 +75,12 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 			// permanently empty ingress.
 			reg.OnAdmit(nd.ports[idx].cb+pkt.Priority, now, pkt.Size, 0)
 		}
-		n.cfg.Trace.deliver(now, f, pkt)
+		n.obs.deliver(now, f, pkt)
 		if f.OnPacket != nil {
 			f.OnPacket(f, pkt)
 		}
 		if f.Done() && f.Finished == 0 {
 			f.Finished = now
-			n.cfg.Trace.flowDone(now, f)
 			if f.OnDone != nil {
 				f.OnDone(f)
 			}
@@ -105,7 +104,6 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 	if occ > ing.buffer {
 		// A lossless fabric must never get here; record and drop.
 		n.drops++
-		n.cfg.Trace.drop(now, nd.id, pkt)
 		if reg := n.metrics; reg != nil {
 			reg.OnDrop(ch, now, pkt.Size, occ)
 		}
@@ -116,7 +114,7 @@ func (n *Network) arrive(nd *node, idx int, pkt *Packet) {
 		n.progress[ch].occupiedSince = now
 	}
 	n.occupancy[ch] = occ
-	n.cfg.Trace.queue(now, nd.id, idx, prio, occ)
+	n.obs.queue(now, nd.id, idx, prio, occ)
 	if reg := n.metrics; reg != nil {
 		reg.OnAdmit(ch, now, pkt.Size, occ)
 	}

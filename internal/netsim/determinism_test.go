@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/runner"
 	"github.com/gfcsim/gfc/internal/topology"
@@ -26,8 +27,13 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 			h.Write(buf[:])
 		}
 	}
-	cfg := baseConfig(gfcFactory())
-	cfg.Trace = &Trace{
+	topo := topology.TwoToOne(topology.DefaultLinkParams())
+	tab := routing.NewSPF(topo)
+	n, err := New(topo, baseConfig(gfcFactory()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Observe(&Trace{
 		OnQueue: func(at units.Time, node topology.NodeID, port, prio int, q units.Size) {
 			mix(1, uint64(at), uint64(node), uint64(port), uint64(prio), uint64(q))
 		},
@@ -40,16 +46,10 @@ func traceHash(t testing.TB, flowSize units.Size) uint64 {
 		OnDeliver: func(at units.Time, f *Flow, pkt *Packet) {
 			mix(4, uint64(at), uint64(f.ID), uint64(pkt.Seq))
 		},
-		OnFeedback: func(at units.Time, from, to topology.NodeID, prio int, wire units.Size) {
-			mix(5, uint64(at), uint64(from), uint64(to), uint64(prio), uint64(wire))
+		OnFeedback: func(at units.Time, from, to topology.NodeID, prio int, m flowcontrol.Message) {
+			mix(5, uint64(at), uint64(from), uint64(to), uint64(prio), uint64(m.Wire()))
 		},
-	}
-	topo := topology.TwoToOne(topology.DefaultLinkParams())
-	tab := routing.NewSPF(topo)
-	n, err := New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	dst := topo.MustLookup("H3")
 	for i, src := range []string{"H1", "H2"} {
 		s := topo.MustLookup(src)

@@ -226,8 +226,7 @@ func (n *Network) DropIngressHead(node topology.NodeID, portIdx, prio int) bool 
 	n.drops++
 	now := n.eng.Now()
 	n.progress[ch].lastDepart = now
-	n.cfg.Trace.drop(now, node, pkt)
-	n.cfg.Trace.queue(now, node, portIdx, prio, n.occupancy[ch])
+	n.obs.queue(now, node, portIdx, prio, n.occupancy[ch])
 	if reg := n.metrics; reg != nil {
 		reg.OnDrop(ch, now, pkt.Size, n.occupancy[ch]+pkt.Size)
 		reg.OnRelease(ch, now, pkt.Size, n.occupancy[ch])

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/gfcsim/gfc/internal/flowcontrol"
+	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/routing"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
@@ -154,17 +155,17 @@ func TestGFCQueueStabilises(t *testing.T) {
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	cfg := baseConfig(gfcFactory())
 	var maxQ units.Size
-	cfg.Trace = &Trace{
+	n, err := New(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Observe(&Trace{
 		OnQueue: func(_ units.Time, node topology.NodeID, _, _ int, q units.Size) {
 			if topo.Node(node).Kind == topology.Switch && q > maxQ {
 				maxQ = q
 			}
 		},
-	}
-	n, err := New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	for i, src := range []string{"H1", "H2"} {
 		if err := n.AddFlow(spfFlow(t, topo, i+1, src, "H3", 0), 0); err != nil {
 			t.Fatal(err)
@@ -264,18 +265,18 @@ func TestECNMarking(t *testing.T) {
 	cfg.ECNThreshold = 40 * units.KB
 	marked := 0
 	total := 0
-	cfg.Trace = &Trace{
+	n, err := New(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Observe(&Trace{
 		OnDeliver: func(_ units.Time, _ *Flow, pkt *Packet) {
 			total++
 			if pkt.ECN {
 				marked++
 			}
 		},
-	}
-	n, err := New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	for i, src := range []string{"H1", "H2"} {
 		if err := n.AddFlow(spfFlow(t, topo, i+1, src, "H3", 0), 0); err != nil {
 			t.Fatal(err)
@@ -321,14 +322,12 @@ func TestPacerLimitsFlow(t *testing.T) {
 }
 
 func TestFeedbackAccounting(t *testing.T) {
+	// Two independent counters of emitted feedback must agree: the
+	// network's running total and the registry's per-channel sums.
 	topo := topology.TwoToOne(topology.DefaultLinkParams())
 	cfg := baseConfig(gfcFactory())
-	var traced units.Size
-	cfg.Trace = &Trace{
-		OnFeedback: func(_ units.Time, _, _ topology.NodeID, _ int, wire units.Size) {
-			traced += wire
-		},
-	}
+	reg := metrics.New(metrics.Options{})
+	cfg.Metrics = reg
 	n, err := New(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +341,8 @@ func TestFeedbackAccounting(t *testing.T) {
 	if n.FeedbackBytes() == 0 {
 		t.Fatal("no feedback recorded under congestion")
 	}
-	if traced != n.FeedbackBytes() {
-		t.Fatalf("trace %v != network %v", traced, n.FeedbackBytes())
+	if got := reg.Summary().FeedbackWire; got != n.FeedbackBytes() {
+		t.Fatalf("registry %v != network %v", got, n.FeedbackBytes())
 	}
 	// GFC's overhead must be a tiny fraction of capacity (§4.2: <0.7%).
 	frac := float64(n.FeedbackBytes().Bits()) / (10e9 * (5 * units.Millisecond).Seconds())

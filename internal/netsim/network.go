@@ -84,12 +84,8 @@ type Network struct {
 	queueSenders   []flowcontrol.QueueSender
 	queueReceivers []flowcontrol.QueueReceiver
 
-	// fbObs, when non-nil, observes every feedback message at its delivery
-	// instant (after loss/delay faults have taken effect) — the in-data-
-	// plane vantage point DCFIT-style deadlock detection needs. from is
-	// the emitting (downstream) node, to the paused/credited (upstream)
-	// node.
-	fbObs func(from, to topology.NodeID, prio int, m flowcontrol.Message)
+	// obs lists the Observe subscribers.
+	obs observers
 	// Per-(node, priority) SchedBlocking forwarding state, indexed
 	// node.nb+prio.
 	fwdCursor  []int32
@@ -429,7 +425,6 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	n := e.n
 	wire := m.Wire()
 	n.feedbackBytes += wire
-	n.cfg.Trace.feedback(n.eng.Now(), e.down.owner.id, e.up.owner.id, e.prio, wire)
 	if reg := n.metrics; reg != nil {
 		reg.OnFeedback(e.down.cb+e.prio, n.eng.Now(), feedbackClass(m.Kind), m.Stage, wire)
 	}
@@ -441,7 +436,7 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	now := n.eng.Now()
 	if e.down.adminDown {
 		// The link is administratively down: the frame is emitted into a
-		// dead channel and lost. (The wire/trace accounting above stands —
+		// dead channel and lost. (The wire accounting above stands —
 		// the receiver did spend the emission.)
 		if reg := n.metrics; reg != nil {
 			reg.OnFault(metrics.FaultEvent{
@@ -481,23 +476,12 @@ func (e *fcEnv) Emit(m flowcontrol.Message) {
 	from, prio := e.down.owner.id, e.prio
 	n.eng.After(delay, func() {
 		sender.OnFeedback(m)
-		if obs := n.fbObs; obs != nil {
-			obs(from, up.owner.id, prio, m)
-		}
+		n.obs.feedback(n.eng.Now(), from, up.owner.id, prio, m)
 		n.kick(up)
 		// A rate or credit change may also unblock the host refill
 		// path indirectly; kick handles the egress side, and refill
 		// is woken by its own timer.
 	})
-}
-
-// SetFeedbackObserver installs fn to observe every feedback message at the
-// instant it is delivered to its sender — after fault-injected loss (dropped
-// messages are never observed, matching the sender's view of the world) and
-// after any delay. Used by in-data-plane deadlock detection (DCFIT); at most
-// one observer, nil uninstalls.
-func (n *Network) SetFeedbackObserver(fn func(from, to topology.NodeID, prio int, m flowcontrol.Message)) {
-	n.fbObs = fn
 }
 
 // feedbackClass buckets a flow-control message kind for metrics accounting.

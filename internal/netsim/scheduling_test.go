@@ -389,7 +389,11 @@ func TestPacketHelpers(t *testing.T) {
 	}
 	var sawLastHop bool
 	cfg := baseConfig(pfcFactory())
-	cfg.Trace = &Trace{
+	n, err = New(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Observe(&Trace{
 		OnTransmit: func(_ units.Time, _ topology.NodeID, _ int, pkt *Packet) {
 			if pkt.CurrentHop().Link == nil {
 				t.Error("CurrentHop has nil link")
@@ -398,11 +402,7 @@ func TestPacketHelpers(t *testing.T) {
 				sawLastHop = true
 			}
 		},
-	}
-	n, err = New(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	f := spfFlow(t, topo, 1, "H1", "H2", 10*units.KB)
 	if err := n.AddFlow(f, 0); err != nil {
 		t.Fatal(err)

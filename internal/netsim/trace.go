@@ -1,15 +1,17 @@
 package netsim
 
 import (
+	"github.com/gfcsim/gfc/internal/flowcontrol"
 	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
-// Trace carries optional observation hooks. Every field may be nil. Hooks
-// fire synchronously inside the simulation loop; they must not mutate the
-// network. A *Packet passed to a hook is only valid for the duration of the
-// callback: delivered and dropped packets return to a free list afterwards,
-// so hooks must copy the fields they need rather than retain the pointer.
+// Trace carries optional observation hooks; subscribe one with
+// Network.Observe. Every field may be nil. Hooks fire synchronously inside
+// the simulation loop; they must not mutate the network. A *Packet passed to
+// a hook is only valid for the duration of the callback: delivered and
+// dropped packets return to a free list afterwards, so hooks must copy the
+// fields they need rather than retain the pointer.
 type Trace struct {
 	// OnQueue fires after an ingress queue changes: node, local port,
 	// priority, new occupancy.
@@ -21,54 +23,59 @@ type Trace struct {
 	OnTransmit func(t units.Time, node topology.NodeID, port int, pkt *Packet)
 	// OnDeliver fires when the destination host receives a packet.
 	OnDeliver func(t units.Time, f *Flow, pkt *Packet)
-	// OnFlowDone fires when a finite flow completes.
-	OnFlowDone func(t units.Time, f *Flow)
-	// OnFeedback fires when a flow-control message is sent from the
-	// ingress side at node `from` back to the egress side at node `to`;
-	// wire is the frame size (the Figure 19 overhead accounting).
-	OnFeedback func(t units.Time, from, to topology.NodeID, prio int, wire units.Size)
-	// OnDrop fires on a (never expected) packet drop.
-	OnDrop func(t units.Time, node topology.NodeID, pkt *Packet)
+	// OnFeedback fires when a flow-control message emitted by the ingress
+	// side at node `from` is delivered to the egress side at node `to`:
+	// after the sender has applied it and before that egress is woken.
+	// Loss and delay faults have taken effect by then, so a dropped
+	// message never fires — the sender's view of the feedback plane,
+	// which in-data-plane deadlock detection (DCFIT) needs.
+	OnFeedback func(t units.Time, from, to topology.NodeID, prio int, m flowcontrol.Message)
 }
 
-func (tr *Trace) queue(t units.Time, n topology.NodeID, port, prio int, q units.Size) {
-	if tr != nil && tr.OnQueue != nil {
-		tr.OnQueue(t, n, port, prio, q)
+// observers is a network's Trace subscriber list, in Observe order. With no
+// subscriber every hook site costs one inlined length check.
+type observers []*Trace
+
+// Observe subscribes tr to the network's observation hooks. Subscribers fire
+// in subscription order; subscribe before running.
+func (n *Network) Observe(tr *Trace) { n.obs = append(n.obs, tr) }
+
+func (o observers) queue(t units.Time, n topology.NodeID, port, prio int, q units.Size) {
+	for _, tr := range o {
+		if tr.OnQueue != nil {
+			tr.OnQueue(t, n, port, prio, q)
+		}
 	}
 }
 
-func (tr *Trace) arrival(t units.Time, n topology.NodeID, pkt *Packet) {
-	if tr != nil && tr.OnArrival != nil {
-		tr.OnArrival(t, n, pkt)
+func (o observers) arrival(t units.Time, n topology.NodeID, pkt *Packet) {
+	for _, tr := range o {
+		if tr.OnArrival != nil {
+			tr.OnArrival(t, n, pkt)
+		}
 	}
 }
 
-func (tr *Trace) transmit(t units.Time, n topology.NodeID, port int, pkt *Packet) {
-	if tr != nil && tr.OnTransmit != nil {
-		tr.OnTransmit(t, n, port, pkt)
+func (o observers) transmit(t units.Time, n topology.NodeID, port int, pkt *Packet) {
+	for _, tr := range o {
+		if tr.OnTransmit != nil {
+			tr.OnTransmit(t, n, port, pkt)
+		}
 	}
 }
 
-func (tr *Trace) deliver(t units.Time, f *Flow, pkt *Packet) {
-	if tr != nil && tr.OnDeliver != nil {
-		tr.OnDeliver(t, f, pkt)
+func (o observers) deliver(t units.Time, f *Flow, pkt *Packet) {
+	for _, tr := range o {
+		if tr.OnDeliver != nil {
+			tr.OnDeliver(t, f, pkt)
+		}
 	}
 }
 
-func (tr *Trace) flowDone(t units.Time, f *Flow) {
-	if tr != nil && tr.OnFlowDone != nil {
-		tr.OnFlowDone(t, f)
-	}
-}
-
-func (tr *Trace) feedback(t units.Time, from, to topology.NodeID, prio int, wire units.Size) {
-	if tr != nil && tr.OnFeedback != nil {
-		tr.OnFeedback(t, from, to, prio, wire)
-	}
-}
-
-func (tr *Trace) drop(t units.Time, n topology.NodeID, pkt *Packet) {
-	if tr != nil && tr.OnDrop != nil {
-		tr.OnDrop(t, n, pkt)
+func (o observers) feedback(t units.Time, from, to topology.NodeID, prio int, m flowcontrol.Message) {
+	for _, tr := range o {
+		if tr.OnFeedback != nil {
+			tr.OnFeedback(t, from, to, prio, m)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/gfcsim/gfc/internal/metrics"
 	"github.com/gfcsim/gfc/internal/netsim"
-	"github.com/gfcsim/gfc/internal/topology"
 	"github.com/gfcsim/gfc/internal/units"
 )
 
@@ -116,10 +115,10 @@ func TestAutoBackendDispatch(t *testing.T) {
 // TestFluidBuildRejections pins Build's own gates (beyond Supports).
 func TestFluidBuildRejections(t *testing.T) {
 	spec := twoToOne(GFCBuf)
-	trace := func(*topology.Topology) *netsim.Trace { return &netsim.Trace{} }
-	if _, err := (FluidBackend{}).Build(spec, &Overrides{Trace: trace}); err == nil ||
+	onFlow := func(*netsim.Flow, *netsim.Network) error { return nil }
+	if _, err := (FluidBackend{}).Build(spec, &Overrides{OnFlow: onFlow}); err == nil ||
 		!strings.Contains(err.Error(), "packet-only") {
-		t.Errorf("Trace override: err = %v, want packet-only rejection", err)
+		t.Errorf("OnFlow override: err = %v, want packet-only rejection", err)
 	}
 	cbfc := twoToOne(CBFC)
 	if _, err := (FluidBackend{}).Build(cbfc, nil); err == nil ||

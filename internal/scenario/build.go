@@ -20,10 +20,6 @@ import (
 // Overrides carry the runtime-only hooks a Spec cannot serialise. All fields
 // are optional; the zero value builds the spec exactly as written.
 type Overrides struct {
-	// Trace builds the run's observation hooks once the topology exists
-	// (closures usually capture node IDs). Installed before the network
-	// is constructed, like every hand-written driver did.
-	Trace func(*topology.Topology) *netsim.Trace
 	// Metrics attaches a fresh registry to the simulation.
 	Metrics *metrics.Registry
 	// Topo supplies a prebuilt topology, skipping the spec's builder
@@ -125,9 +121,6 @@ func Build(spec Spec, ov *Overrides) (*Sim, error) {
 	cfg, fp, err := spec.simConfig()
 	if err != nil {
 		return nil, err
-	}
-	if ov.Trace != nil {
-		cfg.Trace = ov.Trace(topo)
 	}
 	cfg.Metrics = ov.Metrics
 	if spec.Run.Analytic && cfg.Metrics == nil {

@@ -83,8 +83,8 @@ func (b FluidBackend) Build(spec Spec, ov *Overrides) (Runner, error) {
 	if ov == nil {
 		ov = &Overrides{}
 	}
-	if ov.Trace != nil || ov.OnFlow != nil || ov.FaultPlan != nil {
-		return nil, fmt.Errorf("scenario: fluid backend: Trace/OnFlow/FaultPlan overrides are packet-only")
+	if ov.OnFlow != nil || ov.FaultPlan != nil {
+		return nil, fmt.Errorf("scenario: fluid backend: OnFlow/FaultPlan overrides are packet-only")
 	}
 
 	topo := ov.Topo
@@ -407,12 +407,12 @@ func pickDst(rng *rand.Rand, tab *routing.Table, racks workload.RackOf, hosts []
 // fluidSim is the fluid backend's Runner: a compiled NetConfig plus the
 // context the analytic checker needs.
 type fluidSim struct {
-	spec Spec
-	topo *topology.Topology
-	tab  *routing.Table
-	reg  *metrics.Registry
-	cfg  netsim.Config
-	fp   FCParams
+	spec   Spec
+	topo   *topology.Topology
+	tab    *routing.Table
+	reg    *metrics.Registry
+	cfg    netsim.Config
+	fp     FCParams
 	netcfg fluid.NetConfig
 	// paths back the CBD verdict; genUnion folds in the all-inter-rack-
 	// pairs union when the workload is a rendered generator.

@@ -97,11 +97,9 @@ func (g *Generator) validate() error {
 }
 
 // Start launches the first flow on every host at time 0. Each completion
-// triggers the next flow from the same host. The simulation's Trace hook
-// OnFlowDone must be free for the generator's use (it installs its own
-// chaining through AddFlow callbacks instead — completion is observed via
-// per-flow goroutine-free scheduling below). FlowsPerHost values <= 0 mean
-// the paper's default of one flow in flight per host.
+// triggers the next flow from the same host through that flow's OnDone
+// callback. FlowsPerHost values <= 0 mean the paper's default of one flow
+// in flight per host.
 func (g *Generator) Start() error {
 	if err := g.validate(); err != nil {
 		return err
